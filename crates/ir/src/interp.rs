@@ -54,6 +54,12 @@ pub struct ExecResult {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Maximum dynamic instructions before [`ExecError::FuelExhausted`].
+    ///
+    /// The reference interpreter charges one unit per executed
+    /// instruction. Runs of a compiled `CodeImage` (the profiler and the
+    /// detailed simulator) charge per block instead: a block with `body`
+    /// instructions before its terminator is refused when fewer than
+    /// `body + 2` units remain, and otherwise costs `body + 1`.
     pub fuel: u64,
     /// Maximum call depth.
     pub max_depth: usize,
@@ -94,11 +100,18 @@ impl Memory {
     /// speculative load motion (`-fsched-spec`). Stores remain checked.
     #[inline]
     pub fn load(&self, addr: i64) -> Result<i64, ExecError> {
+        Ok(self.try_load(addr).unwrap_or(0))
+    }
+
+    /// Reads the word at byte address `addr`, or `None` when `addr` lies
+    /// outside memory (where [`load`](Self::load) reads 0).
+    #[inline]
+    pub fn try_load(&self, addr: i64) -> Option<i64> {
         let idx = addr >> 2;
         if addr < 0 || idx as usize >= self.words.len() {
-            return Ok(0);
+            return None;
         }
-        Ok(self.words[idx as usize])
+        Some(self.words[idx as usize])
     }
 
     /// Writes the word at byte address `addr`.

@@ -46,7 +46,7 @@ fn err(func: &str, block: Option<BlockId>, message: String) -> VerifyError {
 /// * every block ends with exactly one terminator, and terminators appear
 ///   nowhere else;
 /// * branch targets are in range;
-/// * every used register index is `< vreg_count`;
+/// * every used register index, parameters included, is `< vreg_count`;
 /// * call targets exist and argument counts match the callee;
 /// * the entry block exists.
 ///
@@ -55,6 +55,13 @@ fn err(func: &str, block: Option<BlockId>, message: String) -> VerifyError {
 pub fn verify_function(f: &Function, module: &Module) -> Result<(), VerifyError> {
     if f.blocks.is_empty() {
         return Err(err(&f.name, None, "function has no blocks".into()));
+    }
+    if let Some(p) = f.params.iter().find(|p| p.0 >= f.vreg_count) {
+        return Err(err(
+            &f.name,
+            None,
+            format!("parameter {p} out of range (vreg_count {})", f.vreg_count),
+        ));
     }
     let nblocks = f.blocks.len() as u32;
     for (bi, block) in f.iter_blocks() {
@@ -130,14 +137,45 @@ pub fn verify_function(f: &Function, module: &Module) -> Result<(), VerifyError>
     Ok(())
 }
 
-/// Verifies every function in `m`, plus module-level invariants
-/// (valid entry id, unique function names).
+/// Verifies every function in `m`, plus module-level invariants: a valid
+/// entry id, unique function names, no global initialiser longer than its
+/// global, and globals laid out below [`Module::STACK_BASE`].
 ///
 /// # Errors
 /// Returns the first violation found.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     if m.funcs.get(m.entry.index()).is_none() {
         return Err(err(&m.name, None, format!("missing entry {}", m.entry)));
+    }
+    // The layout rule of `Module::global_addrs`, in u64: it sums in u32,
+    // which a hostile `words` would overflow.
+    let mut base = u64::from(Module::DATA_BASE);
+    for g in &m.globals {
+        if g.init.len() as u64 > u64::from(g.words) {
+            return Err(err(
+                &m.name,
+                None,
+                format!(
+                    "global {} has {} initialisers for {} words",
+                    g.name,
+                    g.init.len(),
+                    g.words
+                ),
+            ));
+        }
+        let end = base + u64::from(g.words) * 4;
+        if end > u64::from(Module::STACK_BASE) {
+            return Err(err(
+                &m.name,
+                None,
+                format!(
+                    "global {} ends at {end:#x}, past the stack base {:#x}",
+                    g.name,
+                    Module::STACK_BASE
+                ),
+            ));
+        }
+        base = (end + 63) & !63;
     }
     let mut names: Vec<&str> = m.funcs.iter().map(|f| f.name.as_str()).collect();
     names.sort_unstable();
@@ -267,6 +305,42 @@ mod tests {
         let m = mb.finish();
         let e = verify_module(&m).unwrap_err();
         assert!(e.message.contains("expected 2"), "{e}");
+    }
+
+    #[test]
+    fn rejects_parameter_out_of_range() {
+        let mut m = ok_module();
+        let n = m.funcs[0].vreg_count;
+        m.funcs[0].params.push(VReg(n));
+        let e = verify_module(&m).unwrap_err();
+        assert!(e.message.contains("parameter"), "{e}");
+    }
+
+    #[test]
+    fn rejects_initialiser_longer_than_its_global() {
+        let mut m = ok_module();
+        let g = m.add_global("buf", 2);
+        m.globals[g].init = vec![1, 2, 3];
+        let e = verify_module(&m).unwrap_err();
+        assert!(e.message.contains("3 initialisers for 2 words"), "{e}");
+    }
+
+    #[test]
+    fn rejects_globals_past_the_stack_base() {
+        // `a` and `b` end exactly at the stack base; `c` crosses it.
+        let half = (Module::STACK_BASE - Module::DATA_BASE) / 8;
+        let mut m = ok_module();
+        m.add_global("a", half);
+        m.add_global("b", half);
+        verify_module(&m).unwrap();
+        m.add_global("c", half);
+        let e = verify_module(&m).unwrap_err();
+        assert!(e.message.contains("global c"), "{e}");
+        // A size whose byte count overflows u32.
+        let mut m = ok_module();
+        m.add_global("huge", u32::MAX);
+        let e = verify_module(&m).unwrap_err();
+        assert!(e.message.contains("past the stack base"), "{e}");
     }
 
     #[test]

@@ -13,10 +13,13 @@ mod common;
 
 use common::{fixture, request_line, shutdown, spawn_server};
 use portopt_core::TrainOptions;
+use portopt_ir::{BlockId, FuncBuilder, Inst, ModuleBuilder, Operand};
 use portopt_serve::testkit::{garbage_line, ChaosConfig, ChaosRng, ChaosWriter};
 use portopt_serve::{
-    LineAction, ModelKind, PredictionService, ServeOptions, ServeResponse, Snapshot, LOCAL_CONN,
+    LineAction, ModelKind, PredictionService, RequestInput, ServeOptions, ServeRequest,
+    ServeResponse, Snapshot, LOCAL_CONN,
 };
+use portopt_uarch::MicroArch;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -210,23 +213,43 @@ fn garbage_lines_get_in_order_error_replies() {
 /// and panic the whole batch (`partial_cmp(..).expect("finite distances")`);
 /// now they are rejected at admission with a typed per-request error reply
 /// that echoes the client's id, and every surrounding request still
-/// answers normally.
+/// answers normally. A malformed module (a branch to a missing block),
+/// which would otherwise reach the compiler and the profiler's indexing,
+/// is rejected the same way.
 #[test]
 fn non_finite_features_are_rejected_per_request_not_per_batch() {
     let (ds, _) = fixture();
     let (addr, server) = spawn_server(|s| PredictionService::new(s, 2), fast_opts());
     let stream = TcpStream::connect(addr).unwrap();
     let reader_half = stream.try_clone().unwrap();
+    reader_half
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
     let mut w = stream;
 
-    // good(0), NaN, +Inf, good(1) — all on one connection, so the NaN and
-    // Inf requests share a batch with at least one healthy neighbour.
+    // good(0), NaN, +Inf, bad module, good(1) — all on one connection, so
+    // the bad requests share a batch with at least one healthy neighbour.
     let nan_line = r#"{"id":777001,"features":[0.5,null,0.25],"uarch":"xscale"}"#;
     let inf_line = r#"{"id":777002,"features":[1e999,0.5],"uarch":"xscale"}"#;
+    let mut bad_module = ModuleBuilder::new("bad");
+    let mut b = FuncBuilder::new("main", 0);
+    b.ret(Operand::Imm(0));
+    let main = bad_module.add(b.finish());
+    bad_module.entry(main);
+    let mut bad_module = bad_module.finish();
+    bad_module.funcs[0].blocks[0].insts = vec![Inst::Br { target: BlockId(9) }];
+    let module_line = serde_json::to_string(&ServeRequest {
+        id: Some(777_003),
+        input: RequestInput::Module(Box::new(bad_module)),
+        uarch: MicroArch::xscale(),
+        apply: false,
+    })
+    .unwrap();
     w.write_all(format!("{}\n", request_line(&ds, 7, 0)).as_bytes())
         .unwrap();
     w.write_all(format!("{nan_line}\n").as_bytes()).unwrap();
     w.write_all(format!("{inf_line}\n").as_bytes()).unwrap();
+    w.write_all(format!("{module_line}\n").as_bytes()).unwrap();
     w.write_all(format!("{}\n", request_line(&ds, 7, 1)).as_bytes())
         .unwrap();
 
@@ -259,6 +282,15 @@ fn non_finite_features_are_rejected_per_request_not_per_batch() {
         .unwrap_or_else(|| panic!("Inf accepted: {inf:?}"));
     assert!(msg.contains("features[0]"), "{msg}");
 
+    let bad = read_reply();
+    assert_eq!(bad.id, 777_003);
+    let msg = bad
+        .error
+        .as_deref()
+        .unwrap_or_else(|| panic!("malformed module accepted: {bad:?}"));
+    assert!(msg.contains("module failed verification"), "{msg}");
+    assert!(msg.contains("branch to missing"), "{msg}");
+
     // The batch — and the server — survived: the trailing request answers.
     let ok1 = read_reply();
     assert!(
@@ -269,8 +301,8 @@ fn non_finite_features_are_rejected_per_request_not_per_batch() {
 
     shutdown(addr);
     let stats = server.join().unwrap();
-    assert_eq!(stats.requests, 4);
-    assert_eq!(stats.errors, 2, "one error reply per non-finite request");
+    assert_eq!(stats.requests, 5);
+    assert_eq!(stats.errors, 3, "one error reply per bad request");
     assert_eq!(stats.discarded, 0);
 }
 

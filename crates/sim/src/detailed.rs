@@ -7,9 +7,10 @@
 //! tests assert that the fast model tracks this reference on miss rates
 //! and on relative cycle counts across configurations.
 
+use crate::walk::{self, Observer};
 use portopt_ir::interp::{ExecError, ExecLimits};
-use portopt_ir::{FuncId, Inst, Module, Operand};
-use portopt_passes::{CodeImage, TermKind};
+use portopt_ir::{BlockId, FuncId, Function, Inst, Module, Operand, VReg};
+use portopt_passes::{BlockLayout, CodeImage};
 use portopt_uarch::{latencies, Latencies, MicroArch, PerfCounters};
 
 /// A true-LRU set-associative cache model.
@@ -144,11 +145,11 @@ pub struct DetailedResult {
     pub mispredicts: u64,
 }
 
-struct Machine<'a> {
-    img: &'a CodeImage,
-    cfg: &'a MicroArch,
+/// The detailed simulator's state: caches, BTB and the in-order
+/// scoreboard, with the counters it reports.
+struct Machine {
     lat: Latencies,
-    mem: Vec<i64>,
+    width: u64,
     icache: Cache,
     dcache: Cache,
     btb: Btb,
@@ -163,11 +164,47 @@ struct Machine<'a> {
     shift: u64,
     reg_reads: u64,
     reg_writes: u64,
-    fuel: u64,
-    max_depth: usize,
+    /// Issue slots taken in the current cycle.
+    slot: u64,
+    /// Whether the memory pipe / the MAC unit is taken in the current cycle.
+    mem_busy: bool,
+    mac_busy: bool,
+    /// Cycle at which each register is ready, for every live frame; the
+    /// innermost frame's registers start at `base`.
+    ready: Vec<u64>,
+    base: usize,
+    /// Each live caller's `base`, `mem_busy` and `mac_busy`, innermost last.
+    callers: Vec<(usize, bool, bool)>,
 }
 
-impl<'a> Machine<'a> {
+impl Machine {
+    fn new(cfg: &MicroArch) -> Self {
+        Machine {
+            lat: latencies(cfg),
+            width: cfg.width.max(1) as u64,
+            icache: Cache::new(cfg.il1_size, cfg.il1_assoc, cfg.il1_block),
+            dcache: Cache::new(cfg.dl1_size, cfg.dl1_assoc, cfg.dl1_block),
+            btb: Btb::new(cfg.btb_entries, cfg.btb_assoc),
+            cycles: 0,
+            dyn_insts: 0,
+            pad_fetches: 0,
+            mispredicts: 0,
+            taken: 0,
+            bpred_accesses: 0,
+            alu: 0,
+            mac: 0,
+            shift: 0,
+            reg_reads: 0,
+            reg_writes: 0,
+            slot: 0,
+            mem_busy: false,
+            mac_busy: false,
+            ready: Vec::new(),
+            base: 0,
+            callers: Vec::new(),
+        }
+    }
+
     /// Fetches the instruction at `addr`, charging icache behaviour.
     fn fetch(&mut self, addr: u32) {
         if !self.icache.access(addr as u64) {
@@ -175,250 +212,159 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Returns `Ok(None)` for an out-of-range *load* address (non-trapping,
-    /// reads 0); `Err` for out-of-range stores.
-    fn mem_access(&mut self, addr: i64, is_store: bool) -> Result<Option<usize>, ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
-            if is_store {
-                return Err(ExecError::BadAddress { addr });
-            }
-            return Ok(None);
-        }
+    fn data_access(&mut self, addr: i64) {
         if !self.dcache.access(addr as u64) {
             self.cycles += self.lat.mem_penalty as u64;
         }
-        Ok(Some(idx as usize))
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn call(
+    /// Moves issue on to a fresh cycle.
+    fn new_cycle(&mut self) {
+        self.slot = 0;
+        self.mem_busy = false;
+        self.mac_busy = false;
+    }
+
+    /// A taken transfer: one branch-predictor access and a fetch redirect.
+    fn redirect(&mut self) {
+        self.taken += 1;
+        self.bpred_accesses += 1;
+        self.cycles += self.lat.il1_access as u64;
+    }
+}
+
+impl Observer for Machine {
+    fn enter_frame(&mut self, f: &Function) {
+        self.callers.push((self.base, self.mem_busy, self.mac_busy));
+        self.base = self.ready.len();
+        self.ready.resize(self.base + f.vreg_count as usize, 0);
+    }
+
+    fn exit_frame(&mut self, dst: Option<VReg>) {
+        self.ready.truncate(self.base);
+        (self.base, self.mem_busy, self.mac_busy) = self.callers.pop().expect("a live frame");
+        self.slot = 0;
+        if let Some(d) = dst {
+            self.ready[self.base + d.index()] = self.cycles + 1;
+        }
+    }
+
+    fn block(
         &mut self,
-        fid: FuncId,
-        args: &[i64],
-        sp: i64,
-        depth: usize,
-    ) -> Result<Option<i64>, ExecError> {
-        if depth >= self.max_depth {
-            return Err(ExecError::StackOverflow);
+        _f: FuncId,
+        _b: BlockId,
+        lay: &BlockLayout,
+        _body_len: usize,
+        by_fall: bool,
+    ) {
+        if by_fall && lay.pad > 0 {
+            // Padding nops consume fetch slots.
+            self.pad_fetches += (lay.pad / 4) as u64;
+            self.cycles += (lay.pad as u64 / 4).div_ceil(self.width);
+            for a in (lay.addr - lay.pad..lay.addr).step_by(4) {
+                self.fetch(a);
+            }
         }
-        let mf = &self.img.funcs[fid.index()];
-        let f = &mf.func;
-        let fp = sp - (f.frame_slots as i64) * 4;
-        if fp < Module::DATA_BASE as i64 {
-            return Err(ExecError::StackOverflow);
+        self.new_cycle();
+    }
+
+    fn issue(&mut self, pc: u32, inst: &Inst) {
+        self.fetch(pc);
+        self.dyn_insts += 1;
+        // Issue: wait for operands, one slot, structural limits.
+        let mut start = self.cycles;
+        let mut reads = 0;
+        let ready = &self.ready[self.base..];
+        inst.for_each_use(|r| {
+            start = start.max(ready[r.index()]);
+            reads += 1;
+        });
+        let needs_mem = inst.is_memory();
+        let needs_mac = matches!(inst, Inst::Bin { op, .. } if op.uses_mac());
+        if start > self.cycles {
+            self.cycles = start;
+            self.new_cycle();
         }
-        let mut regs = vec![0i64; f.vreg_count as usize];
-        let mut ready = vec![0u64; f.vreg_count as usize];
-        for (p, v) in f.params.iter().zip(args) {
-            regs[p.index()] = *v;
+        while self.slot >= self.width
+            || (needs_mem && self.mem_busy)
+            || (needs_mac && self.mac_busy)
+        {
+            self.cycles += 1;
+            self.new_cycle();
+        }
+        self.slot += 1;
+        self.mem_busy |= needs_mem;
+        self.mac_busy |= needs_mac;
+        self.reg_reads += reads;
+        if inst.def().is_some() {
+            self.reg_writes += 1;
         }
 
-        let mut bi = f.entry();
-        let mut by_fall = false;
-        let width = self.cfg.width.max(1) as u64;
-        let mut slot = 0u64;
-        loop {
-            let lay = mf.layout[bi.index()];
-            if by_fall && lay.pad > 0 {
-                // Padding nops consume fetch slots.
-                self.pad_fetches += (lay.pad / 4) as u64;
-                self.cycles += (lay.pad as u64 / 4).div_ceil(width);
-                for a in (lay.addr - lay.pad..lay.addr).step_by(4) {
-                    self.fetch(a);
-                }
+        // Loads become ready in `load`, call results in `exit_frame`.
+        let latency = match inst {
+            Inst::Bin { op, .. } if op.is_long_latency() => {
+                self.alu += 1;
+                16
             }
-            let block = &f.blocks[bi.index()];
-            if self.fuel < block.insts.len() as u64 + 2 {
-                return Err(ExecError::FuelExhausted);
+            Inst::Bin { op, .. } if op.uses_mac() => {
+                self.mac += 1;
+                2
             }
-            self.fuel -= block.insts.len() as u64 + 1;
-
-            let val = |o: &Operand, regs: &[i64]| -> i64 {
-                match o {
-                    Operand::Reg(r) => regs[r.index()],
-                    Operand::Imm(v) => *v,
-                }
-            };
-
-            let mut pc = lay.addr;
-            let mut mem_this_cycle = false;
-            let mut mac_this_cycle = false;
-            for inst in block.body() {
-                self.fetch(pc);
-                pc += 4;
-                self.dyn_insts += 1;
-                // Issue: wait for operands, one slot, structural limits.
-                let mut start = self.cycles;
-                inst.for_each_use(|r| start = start.max(ready[r.index()]));
-                let needs_mem = inst.is_memory();
-                let needs_mac = matches!(inst, Inst::Bin { op, .. } if op.uses_mac());
-                if start > self.cycles {
-                    self.cycles = start;
-                    slot = 0;
-                    mem_this_cycle = false;
-                    mac_this_cycle = false;
-                }
-                while slot >= width
-                    || (needs_mem && mem_this_cycle)
-                    || (needs_mac && mac_this_cycle)
-                {
-                    self.cycles += 1;
-                    slot = 0;
-                    mem_this_cycle = false;
-                    mac_this_cycle = false;
-                }
-                slot += 1;
-                mem_this_cycle |= needs_mem;
-                mac_this_cycle |= needs_mac;
-
-                let mut reads = 0;
-                inst.for_each_use(|_| reads += 1);
-                self.reg_reads += reads;
-                if inst.def().is_some() {
-                    self.reg_writes += 1;
-                }
-
-                let issue = self.cycles;
-                match inst {
-                    Inst::Bin { op, dst, a, b } => {
-                        let latency = if op.is_long_latency() {
-                            16
-                        } else if op.uses_mac() {
-                            self.mac += 1;
-                            2
-                        } else if op.uses_shifter() {
-                            self.shift += 1;
-                            1
-                        } else {
-                            self.alu += 1;
-                            1
-                        };
-                        if op.is_long_latency() {
-                            self.alu += 1;
-                        }
-                        regs[dst.index()] = op.eval(val(a, &regs), val(b, &regs));
-                        ready[dst.index()] = issue + latency;
-                    }
-                    Inst::Cmp { pred, dst, a, b } => {
-                        self.alu += 1;
-                        regs[dst.index()] = pred.eval(val(a, &regs), val(b, &regs));
-                        ready[dst.index()] = issue + 1;
-                    }
-                    Inst::Copy { dst, src } => {
-                        self.alu += 1;
-                        regs[dst.index()] = val(src, &regs);
-                        ready[dst.index()] = issue + 1;
-                    }
-                    Inst::Load { dst, addr, offset } => {
-                        let a = regs[addr.index()].wrapping_add(*offset);
-                        let idx = self.mem_access(a, false)?;
-                        regs[dst.index()] = idx.map_or(0, |i| self.mem[i]);
-                        ready[dst.index()] = self.cycles + self.lat.dl1_load_use as u64;
-                    }
-                    Inst::Store { src, addr, offset } => {
-                        let a = regs[addr.index()].wrapping_add(*offset);
-                        let v = val(src, &regs);
-                        let idx = self.mem_access(a, true)?.expect("store checked");
-                        self.mem[idx] = v;
-                    }
-                    Inst::FrameLoad { dst, slot: s } => {
-                        let a = fp + (*s as i64) * 4;
-                        let idx = self.mem_access(a, false)?;
-                        regs[dst.index()] = idx.map_or(0, |i| self.mem[i]);
-                        ready[dst.index()] = self.cycles + self.lat.dl1_load_use as u64;
-                    }
-                    Inst::FrameStore { src, slot: s } => {
-                        let a = fp + (*s as i64) * 4;
-                        let v = val(src, &regs);
-                        let idx = self.mem_access(a, true)?.expect("store checked");
-                        self.mem[idx] = v;
-                    }
-                    Inst::Call {
-                        func,
-                        args: cargs,
-                        dst,
-                    } => {
-                        self.taken += 1;
-                        self.bpred_accesses += 1;
-                        self.cycles += self.lat.il1_access as u64; // redirect
-                        let argv: Vec<i64> = cargs.iter().map(|a| val(a, &regs)).collect();
-                        let r = self.call(*func, &argv, fp, depth + 1)?;
-                        if let Some(d) = dst {
-                            regs[d.index()] = r.unwrap_or(0);
-                            ready[d.index()] = self.cycles + 1;
-                        }
-                        slot = 0;
-                    }
-                    _ => unreachable!("terminator in body"),
-                }
+            Inst::Bin { op, .. } if op.uses_shifter() => {
+                self.shift += 1;
+                1
             }
-
-            // Terminator.
-            match block.insts.last() {
-                Some(Inst::Ret { val: v }) => {
-                    self.fetch(pc);
-                    self.dyn_insts += 1;
-                    self.taken += 1;
-                    self.bpred_accesses += 1;
-                    self.cycles += self.lat.il1_access as u64;
-                    return Ok(v.as_ref().map(|o| val(o, &regs)));
-                }
-                Some(Inst::Br { target }) => {
-                    match lay.term {
-                        TermKind::Fall => by_fall = true,
-                        _ => {
-                            self.fetch(pc);
-                            self.dyn_insts += 1;
-                            self.taken += 1;
-                            self.bpred_accesses += 1;
-                            self.cycles += self.lat.il1_access as u64;
-                            by_fall = false;
-                        }
-                    }
-                    bi = *target;
-                    slot = 0;
-                }
-                Some(Inst::CondBr { cond, then_, else_ }) => {
-                    self.fetch(pc);
-                    self.dyn_insts += 1;
-                    self.reg_reads += 1;
-                    self.bpred_accesses += 1;
-                    // Wait on the condition register.
-                    self.cycles = self.cycles.max(ready[cond.index()]);
-                    let c = regs[cond.index()] != 0;
-                    let target = if c { *then_ } else { *else_ };
-                    let taken = match lay.term {
-                        TermKind::CondFall => target == *then_,
-                        TermKind::CondFlip => target == *else_,
-                        TermKind::CondTwoJumps => target == *then_,
-                        _ => unreachable!(),
-                    };
-                    let correct = self.btb.predict_and_update(pc as u64, taken);
-                    if !correct {
-                        self.mispredicts += 1;
-                        self.cycles += self.lat.mispredict as u64;
-                    } else if taken {
-                        self.cycles += self.lat.il1_access as u64;
-                    }
-                    if taken {
-                        self.taken += 1;
-                        by_fall = false;
-                    } else if lay.term == TermKind::CondTwoJumps {
-                        self.fetch(pc + 4);
-                        self.dyn_insts += 1;
-                        self.taken += 1;
-                        self.bpred_accesses += 1;
-                        self.cycles += self.lat.il1_access as u64;
-                        by_fall = false;
-                    } else {
-                        by_fall = true;
-                    }
-                    bi = target;
-                    slot = 0;
-                }
-                _ => return Err(ExecError::FellThrough),
+            Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Copy { .. } => {
+                self.alu += 1;
+                1
             }
+            _ => return,
+        };
+        if let Some(d) = inst.def() {
+            self.ready[self.base + d.index()] = self.cycles + latency;
+        }
+    }
+
+    fn load(&mut self, addr: Option<i64>, dst: VReg) {
+        if let Some(a) = addr {
+            self.data_access(a);
+        }
+        self.ready[self.base + dst.index()] = self.cycles + self.lat.dl1_load_use as u64;
+    }
+
+    fn store(&mut self, addr: i64) {
+        self.data_access(addr);
+    }
+
+    fn call(&mut self, _block_addr: u32) {
+        self.redirect();
+    }
+
+    fn ret(&mut self, pc: u32, _val: Option<&Operand>) {
+        self.jump(pc);
+    }
+
+    fn jump(&mut self, pc: u32) {
+        self.fetch(pc);
+        self.dyn_insts += 1;
+        self.redirect();
+    }
+
+    fn cond_branch(&mut self, _f: FuncId, _b: BlockId, pc: u32, cond: VReg, taken: bool) {
+        self.fetch(pc);
+        self.dyn_insts += 1;
+        self.reg_reads += 1;
+        self.bpred_accesses += 1;
+        // Wait on the condition register.
+        self.cycles = self.cycles.max(self.ready[self.base + cond.index()]);
+        if !self.btb.predict_and_update(pc as u64, taken) {
+            self.mispredicts += 1;
+            self.cycles += self.lat.mispredict as u64;
+        } else if taken {
+            self.cycles += self.lat.il1_access as u64;
+        }
+        if taken {
+            self.taken += 1;
         }
     }
 }
@@ -435,34 +381,8 @@ pub fn simulate(
     args: &[i64],
     limits: ExecLimits,
 ) -> Result<DetailedResult, ExecError> {
-    let mut mem = vec![0i64; (Module::STACK_BASE / 4) as usize];
-    for (g, a) in module.globals.iter().zip(module.global_addrs()) {
-        let base = (a.base / 4) as usize;
-        mem[base..base + g.init.len()].copy_from_slice(&g.init);
-    }
-    let mut m = Machine {
-        img,
-        cfg,
-        lat: latencies(cfg),
-        mem,
-        icache: Cache::new(cfg.il1_size, cfg.il1_assoc, cfg.il1_block),
-        dcache: Cache::new(cfg.dl1_size, cfg.dl1_assoc, cfg.dl1_block),
-        btb: Btb::new(cfg.btb_entries, cfg.btb_assoc),
-        cycles: 0,
-        dyn_insts: 0,
-        pad_fetches: 0,
-        mispredicts: 0,
-        taken: 0,
-        bpred_accesses: 0,
-        alu: 0,
-        mac: 0,
-        shift: 0,
-        reg_reads: 0,
-        reg_writes: 0,
-        fuel: limits.fuel,
-        max_depth: limits.max_depth,
-    };
-    let ret = m.call(img.entry, args, Module::STACK_BASE as i64, 0)?;
+    let mut m = Machine::new(cfg);
+    let (ret, _) = walk::run(img, module, args, limits, &mut m)?;
     let cycles = m.cycles.max(1);
     let counters = PerfCounters {
         ipc: m.dyn_insts as f64 / cycles as f64,
@@ -488,7 +408,7 @@ pub fn simulate(
     Ok(DetailedResult {
         cycles,
         dyn_insts: m.dyn_insts,
-        ret: ret.unwrap_or(0),
+        ret,
         counters,
         icache_misses: m.icache.misses,
         dcache_misses: m.dcache.misses,

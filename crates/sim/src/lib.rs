@@ -44,6 +44,7 @@ pub mod flatsd;
 pub mod profile;
 pub mod profiler;
 pub mod timing;
+mod walk;
 
 pub use detailed::{simulate, DetailedResult};
 pub use flatsd::FlatStackDistance;

@@ -9,9 +9,10 @@
 
 use crate::flatsd::FlatStackDistance;
 use crate::profile::{ExecProfile, BLOCK_SIZES};
+use crate::walk::{self, Observer};
 use portopt_ir::interp::{ExecError, ExecLimits};
-use portopt_ir::{FuncId, Inst, Module, Operand};
-use portopt_passes::{CodeImage, TermKind};
+use portopt_ir::{BlockId, FuncId, Inst, Module, Operand, VReg};
+use portopt_passes::{BlockLayout, CodeImage};
 use portopt_uarch::{BranchStats, ReuseHistogram};
 
 /// Runs `img` (produced from `module`) and collects its profile.
@@ -28,37 +29,15 @@ pub fn profile(
     args: &[i64],
     limits: ExecLimits,
 ) -> Result<ExecProfile, ExecError> {
-    let mut st = ProfState::new(img, module, limits);
-    let ret = st.call(img.entry, args, Module::STACK_BASE as i64, 0)?;
-
-    let mut prof = st.prof;
-    prof.ret = ret.unwrap_or(0);
-    prof.mem_hash = hash_globals(&st.mem, module);
-    for (h, sd) in prof.icache_reuse.iter_mut().zip(&mut st.isd) {
-        let _ = (h, sd); // histograms already filled incrementally
-    }
+    let mut p = Profiler::new(img);
+    let (ret, mem) = walk::run(img, module, args, limits, &mut p)?;
+    let mut prof = p.prof;
+    prof.ret = ret;
+    prof.mem_hash = mem.hash_globals(module);
     Ok(prof)
 }
 
-fn hash_globals(mem: &[i64], m: &Module) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for a in m.global_addrs() {
-        let base = (a.base / 4) as usize;
-        for w in &mem[base..base + (a.bytes / 4) as usize] {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-struct ProfState<'a> {
-    img: &'a CodeImage,
-    mem: Vec<i64>,
-    fuel: u64,
-    max_depth: usize,
+struct Profiler {
     prof: ExecProfile,
     /// Stack-distance trackers for the data stream, per block size.
     dsd: Vec<FlatStackDistance>,
@@ -72,13 +51,8 @@ struct ProfState<'a> {
     block_offset: Vec<usize>,
 }
 
-impl<'a> ProfState<'a> {
-    fn new(img: &'a CodeImage, module: &Module, limits: ExecLimits) -> Self {
-        let mut mem = vec![0i64; (Module::STACK_BASE / 4) as usize];
-        for (g, a) in module.globals.iter().zip(module.global_addrs()) {
-            let base = (a.base / 4) as usize;
-            mem[base..base + g.init.len()].copy_from_slice(&g.init);
-        }
+impl Profiler {
+    fn new(img: &CodeImage) -> Self {
         let code_end = (portopt_passes::CODE_BASE + img.code_bytes) as usize;
         let mut block_offset = Vec::with_capacity(img.funcs.len());
         let mut total_blocks = 0usize;
@@ -98,11 +72,7 @@ impl<'a> ProfState<'a> {
             ..ExecProfile::default()
         };
         prof.branch_pc_reuse = ReuseHistogram::new();
-        ProfState {
-            img,
-            mem,
-            fuel: limits.fuel,
-            max_depth: limits.max_depth,
+        Profiler {
             prof,
             dsd: BLOCK_SIZES
                 .iter()
@@ -144,231 +114,103 @@ impl<'a> ProfState<'a> {
         let d = self.bsd.access((pc / 4) as usize);
         self.prof.branch_pc_reuse.record(d);
     }
+}
 
+impl Observer for Profiler {
     #[inline]
-    fn load(&mut self, addr: i64) -> Result<i64, ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
-            // Non-trapping wild load (speculative path): reads 0. The
-            // access still occupies the memory pipe but touches no
-            // modelled line.
-            self.prof.dcache_word_accesses += 1;
-            return Ok(0);
-        }
-        self.data_access(addr);
-        Ok(self.mem[idx as usize])
-    }
-
-    #[inline]
-    fn store(&mut self, addr: i64, val: i64) -> Result<(), ExecError> {
-        let idx = addr >> 2;
-        if addr < 0 || idx as usize >= self.mem.len() {
-            return Err(ExecError::BadAddress { addr });
-        }
-        self.data_access(addr);
-        self.mem[idx as usize] = val;
-        Ok(())
-    }
-
-    fn call(
-        &mut self,
-        fid: FuncId,
-        args: &[i64],
-        sp: i64,
-        depth: usize,
-    ) -> Result<Option<i64>, ExecError> {
-        if depth >= self.max_depth {
-            return Err(ExecError::StackOverflow);
-        }
-        let mf = &self.img.funcs[fid.index()];
-        let f = &mf.func;
-        let frame_bytes = (f.frame_slots as i64) * 4;
-        let fp = sp - frame_bytes;
-        if fp < Module::DATA_BASE as i64 {
-            return Err(ExecError::StackOverflow);
-        }
-        let mut regs = vec![0i64; f.vreg_count as usize];
-        for (p, v) in f.params.iter().zip(args) {
-            regs[p.index()] = *v;
-        }
-
-        let mut bi = f.entry();
-        let mut by_fallthrough = false;
-        loop {
-            let gbi = self.block_offset[fid.index()] + bi.index();
-            self.prof.block_counts[fid.index()][bi.index()] += 1;
-            let lay = mf.layout[bi.index()];
-            // Instruction fetch: the block's bytes, plus its alignment pad
-            // when entered by fall-through (sequential fetch rolls through
-            // the padding nops).
-            if lay.bytes > 0 || (by_fallthrough && lay.pad > 0) {
-                let start = if by_fallthrough {
-                    lay.addr - lay.pad
-                } else {
-                    lay.addr
-                };
-                let end = (lay.addr + lay.bytes).max(start + 1);
-                self.fetch_range(start, end);
-            }
-            if by_fallthrough {
-                self.prof.pad_fetches += (lay.pad / 4) as u64;
-            }
-
-            let block = &f.blocks[bi.index()];
-            let body_len = block.body().len();
-            if self.fuel < (body_len as u64 + 2) {
-                return Err(ExecError::FuelExhausted);
-            }
-            self.fuel -= body_len as u64 + 1;
-            self.prof.dyn_insts += body_len as u64;
-
-            let val = |o: &Operand, regs: &[i64]| -> i64 {
-                match o {
-                    Operand::Reg(r) => regs[r.index()],
-                    Operand::Imm(v) => *v,
-                }
+    fn block(&mut self, f: FuncId, b: BlockId, lay: &BlockLayout, body_len: usize, by_fall: bool) {
+        self.prof.block_counts[f.index()][b.index()] += 1;
+        // Instruction fetch: the block's bytes, plus its alignment pad
+        // when entered by fall-through (sequential fetch rolls through
+        // the padding nops).
+        if lay.bytes > 0 || (by_fall && lay.pad > 0) {
+            let start = if by_fall {
+                lay.addr - lay.pad
+            } else {
+                lay.addr
             };
+            let end = (lay.addr + lay.bytes).max(start + 1);
+            self.fetch_range(start, end);
+        }
+        if by_fall {
+            self.prof.pad_fetches += (lay.pad / 4) as u64;
+        }
+        self.prof.dyn_insts += body_len as u64;
+    }
 
-            // Execute the body.
-            for inst in block.body() {
-                let mut reads = 0u64;
-                inst.for_each_use(|_| reads += 1);
-                self.prof.ops.reg_reads += reads;
-                if inst.def().is_some() {
-                    self.prof.ops.reg_writes += 1;
-                }
-                match inst {
-                    Inst::Bin { op, dst, a, b } => {
-                        if op.is_long_latency() {
-                            self.prof.ops.div += 1;
-                        } else if op.uses_mac() {
-                            self.prof.ops.mac += 1;
-                        } else if op.uses_shifter() {
-                            self.prof.ops.shift += 1;
-                        } else {
-                            self.prof.ops.alu += 1;
-                        }
-                        regs[dst.index()] = op.eval(val(a, &regs), val(b, &regs));
-                    }
-                    Inst::Cmp { pred, dst, a, b } => {
-                        self.prof.ops.alu += 1;
-                        regs[dst.index()] = pred.eval(val(a, &regs), val(b, &regs));
-                    }
-                    Inst::Copy { dst, src } => {
-                        self.prof.ops.alu += 1;
-                        regs[dst.index()] = val(src, &regs);
-                    }
-                    Inst::Load { dst, addr, offset } => {
-                        self.prof.ops.loads += 1;
-                        regs[dst.index()] = self.load(regs[addr.index()].wrapping_add(*offset))?;
-                    }
-                    Inst::Store { src, addr, offset } => {
-                        self.prof.ops.stores += 1;
-                        let v = val(src, &regs);
-                        self.store(regs[addr.index()].wrapping_add(*offset), v)?;
-                    }
-                    Inst::FrameLoad { dst, slot } => {
-                        self.prof.ops.loads += 1;
-                        regs[dst.index()] = self.load(fp + (*slot as i64) * 4)?;
-                    }
-                    Inst::FrameStore { src, slot } => {
-                        self.prof.ops.stores += 1;
-                        let v = val(src, &regs);
-                        self.store(fp + (*slot as i64) * 4, v)?;
-                    }
-                    Inst::Call {
-                        func,
-                        args: cargs,
-                        dst,
-                    } => {
-                        self.prof.ops.calls += 1;
-                        self.prof.taken_transfers += 1;
-                        // The call instruction's PC: position within the
-                        // block is approximated by the block start (calls
-                        // occupy BTB entries; set conflicts are what matter).
-                        self.branch_pc(lay.addr);
-                        let argv: Vec<i64> = cargs.iter().map(|a| val(a, &regs)).collect();
-                        let r = self.call(*func, &argv, fp, depth + 1)?;
-                        if let Some(d) = dst {
-                            regs[d.index()] = r.unwrap_or(0);
-                        }
-                    }
-                    Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => {
-                        unreachable!("terminator in body")
-                    }
-                }
-            }
+    #[inline]
+    fn issue(&mut self, _pc: u32, inst: &Inst) {
+        let ops = &mut self.prof.ops;
+        inst.for_each_use(|_| ops.reg_reads += 1);
+        if inst.def().is_some() {
+            ops.reg_writes += 1;
+        }
+        match inst {
+            Inst::Bin { op, .. } if op.is_long_latency() => ops.div += 1,
+            Inst::Bin { op, .. } if op.uses_mac() => ops.mac += 1,
+            Inst::Bin { op, .. } if op.uses_shifter() => ops.shift += 1,
+            Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Copy { .. } => ops.alu += 1,
+            Inst::Load { .. } | Inst::FrameLoad { .. } => ops.loads += 1,
+            Inst::Store { .. } | Inst::FrameStore { .. } => ops.stores += 1,
+            Inst::Call { .. } => ops.calls += 1,
+            Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => {}
+        }
+    }
 
-            // Terminator.
-            let term_pc = lay.addr + lay.bytes.saturating_sub(4);
-            match block.insts.last() {
-                Some(Inst::Ret { val: v }) => {
-                    self.prof.dyn_insts += 1;
-                    self.prof.ops.rets += 1;
-                    self.prof.taken_transfers += 1;
-                    self.branch_pc(term_pc);
-                    let out = v.as_ref().map(|o| val(o, &regs));
-                    // Return-value register reads count too.
-                    if v.as_ref().and_then(|o| o.as_reg()).is_some() {
-                        self.prof.ops.reg_reads += 1;
-                    }
-                    return Ok(out);
-                }
-                Some(Inst::Br { target }) => {
-                    match lay.term {
-                        TermKind::Fall => {
-                            by_fallthrough = true;
-                        }
-                        _ => {
-                            self.prof.dyn_insts += 1;
-                            self.prof.ops.jumps += 1;
-                            self.prof.taken_transfers += 1;
-                            self.branch_pc(term_pc);
-                            by_fallthrough = false;
-                        }
-                    }
-                    bi = *target;
-                }
-                Some(Inst::CondBr { cond, then_, else_ }) => {
-                    self.prof.ops.reg_reads += 1;
-                    let c = regs[cond.index()] != 0;
-                    let target = if c { *then_ } else { *else_ };
-                    // The conditional branch instruction itself.
-                    let cond_pc = if lay.term == TermKind::CondTwoJumps {
-                        lay.addr + lay.bytes - 8
-                    } else {
-                        term_pc
-                    };
-                    let taken = match lay.term {
-                        TermKind::CondFall => target == *then_,
-                        TermKind::CondFlip => target == *else_,
-                        TermKind::CondTwoJumps => target == *then_,
-                        _ => unreachable!("condbr lowered to non-cond term"),
-                    };
-                    self.prof.dyn_insts += 1;
-                    self.prof.ops.cond_branches += 1;
-                    self.branch_pc(cond_pc);
-                    let prev = self.prev_dir[gbi];
-                    self.prof.branch_stats[gbi].record(taken, prev);
-                    self.prev_dir[gbi] = Some(taken);
-                    if taken {
-                        self.prof.taken_transfers += 1;
-                        by_fallthrough = false;
-                    } else if lay.term == TermKind::CondTwoJumps {
-                        // Fell past the conditional into the unconditional
-                        // jump to `else_`.
-                        self.prof.dyn_insts += 1;
-                        self.prof.ops.jumps += 1;
-                        self.prof.taken_transfers += 1;
-                        self.branch_pc(term_pc);
-                        by_fallthrough = false;
-                    } else {
-                        by_fallthrough = true;
-                    }
-                    bi = target;
-                }
-                _ => return Err(ExecError::FellThrough),
-            }
+    #[inline]
+    fn load(&mut self, addr: Option<i64>, _dst: VReg) {
+        match addr {
+            Some(a) => self.data_access(a),
+            // A wild load still occupies the memory pipe but touches no
+            // modelled line.
+            None => self.prof.dcache_word_accesses += 1,
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, addr: i64) {
+        self.data_access(addr);
+    }
+
+    #[inline]
+    fn call(&mut self, block_addr: u32) {
+        self.prof.taken_transfers += 1;
+        // The call instruction's PC is approximated by the block start
+        // (calls occupy BTB entries; set conflicts are what matter).
+        self.branch_pc(block_addr);
+    }
+
+    #[inline]
+    fn ret(&mut self, pc: u32, val: Option<&Operand>) {
+        self.prof.dyn_insts += 1;
+        self.prof.ops.rets += 1;
+        self.prof.taken_transfers += 1;
+        self.branch_pc(pc);
+        // Return-value register reads count too.
+        if val.and_then(|o| o.as_reg()).is_some() {
+            self.prof.ops.reg_reads += 1;
+        }
+    }
+
+    #[inline]
+    fn jump(&mut self, pc: u32) {
+        self.prof.dyn_insts += 1;
+        self.prof.ops.jumps += 1;
+        self.prof.taken_transfers += 1;
+        self.branch_pc(pc);
+    }
+
+    #[inline]
+    fn cond_branch(&mut self, f: FuncId, b: BlockId, pc: u32, _cond: VReg, taken: bool) {
+        self.prof.ops.reg_reads += 1;
+        self.prof.dyn_insts += 1;
+        self.prof.ops.cond_branches += 1;
+        self.branch_pc(pc);
+        let site = self.block_offset[f.index()] + b.index();
+        self.prof.branch_stats[site].record(taken, self.prev_dir[site]);
+        self.prev_dir[site] = Some(taken);
+        if taken {
+            self.prof.taken_transfers += 1;
         }
     }
 }
