@@ -8,7 +8,7 @@
 //! program once on real hardware and reading the counters afterwards.
 
 use crate::flatsd::FlatStackDistance;
-use crate::profile::{ExecProfile, BLOCK_SIZES};
+use crate::profile::{ExecProfile, OpCounts, BLOCK_SIZES};
 use crate::walk::{self, Observer};
 use portopt_ir::interp::{ExecError, ExecLimits};
 use portopt_ir::{BlockId, FuncId, Inst, Module, Operand, VReg};
@@ -32,9 +32,43 @@ pub fn profile(
     let mut p = Profiler::new(img);
     let (ret, mem) = walk::run(img, module, args, limits, &mut p)?;
     let mut prof = p.prof;
+    for (mf, counts) in img.funcs.iter().zip(&prof.block_counts) {
+        for (block, &n) in mf.func.blocks.iter().zip(counts) {
+            if n > 0 {
+                for inst in block.body() {
+                    count_body_op(&mut prof.ops, inst, n);
+                }
+            }
+        }
+    }
     prof.ret = ret;
     prof.mem_hash = mem.hash_globals(module);
     Ok(prof)
+}
+
+/// Adds `n` executions of the body instruction `inst` to `ops`.
+///
+/// A block's body runs whole every time the block starts, so the profile
+/// counts body operations once, after the run, from the block counts.
+/// Terminators are counted as they execute: what they cost depends on the
+/// path taken.
+fn count_body_op(ops: &mut OpCounts, inst: &Inst, n: u64) {
+    let mut reads = 0;
+    inst.for_each_use(|_| reads += 1);
+    ops.reg_reads += reads * n;
+    if inst.def().is_some() {
+        ops.reg_writes += n;
+    }
+    match inst {
+        Inst::Bin { op, .. } if op.is_long_latency() => ops.div += n,
+        Inst::Bin { op, .. } if op.uses_mac() => ops.mac += n,
+        Inst::Bin { op, .. } if op.uses_shifter() => ops.shift += n,
+        Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Copy { .. } => ops.alu += n,
+        Inst::Load { .. } | Inst::FrameLoad { .. } => ops.loads += n,
+        Inst::Store { .. } | Inst::FrameStore { .. } => ops.stores += n,
+        Inst::Call { .. } => ops.calls += n,
+        Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => {}
+    }
 }
 
 struct Profiler {
@@ -139,25 +173,6 @@ impl Observer for Profiler {
     }
 
     #[inline]
-    fn issue(&mut self, _pc: u32, inst: &Inst) {
-        let ops = &mut self.prof.ops;
-        inst.for_each_use(|_| ops.reg_reads += 1);
-        if inst.def().is_some() {
-            ops.reg_writes += 1;
-        }
-        match inst {
-            Inst::Bin { op, .. } if op.is_long_latency() => ops.div += 1,
-            Inst::Bin { op, .. } if op.uses_mac() => ops.mac += 1,
-            Inst::Bin { op, .. } if op.uses_shifter() => ops.shift += 1,
-            Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Copy { .. } => ops.alu += 1,
-            Inst::Load { .. } | Inst::FrameLoad { .. } => ops.loads += 1,
-            Inst::Store { .. } | Inst::FrameStore { .. } => ops.stores += 1,
-            Inst::Call { .. } => ops.calls += 1,
-            Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => {}
-        }
-    }
-
-    #[inline]
     fn load(&mut self, addr: Option<i64>, _dst: VReg) {
         match addr {
             Some(a) => self.data_access(a),
@@ -243,6 +258,106 @@ mod tests {
         let id = mb.add(b.finish());
         mb.entry(id);
         mb.finish()
+    }
+
+    /// A module with every operation class: a callee doing div, rem, a
+    /// multiply and shifts, called in a loop from `main`. The register
+    /// allocator saves `main`'s live values to its frame around the call.
+    fn op_mix() -> Module {
+        let mut mb = ModuleBuilder::new("op_mix");
+        let (_, base) = mb.global("buf", 4);
+        let mut k = FuncBuilder::new("kernel", 2);
+        let (x, y) = (k.param(0), k.param(1));
+        let q = k.div(x, y);
+        let r = k.rem(x, y);
+        let m = k.mul(q, r);
+        let s = k.shl(m, 2);
+        let t = k.sar(s, 1);
+        let u = k.add(t, x);
+        k.ret(u);
+        let kernel = mb.add(k.finish());
+        let mut b = FuncBuilder::new("main", 0);
+        let p = b.iconst(base as i64);
+        let acc = b.iconst(0);
+        b.counted_loop(1, 20, 1, |b, i| {
+            let v = b.call(kernel, &[i.into(), 3.into()]);
+            let l = b.load(p, 4);
+            let a = b.add(l, v);
+            b.store(a, p, 0);
+            b.assign(acc, a);
+        });
+        b.ret(acc);
+        let id = mb.add(b.finish());
+        mb.entry(id);
+        mb.finish()
+    }
+
+    /// Counts operations one instruction at a time, as each issues.
+    #[derive(Default)]
+    struct PerIssue(OpCounts);
+
+    impl Observer for PerIssue {
+        fn issue(&mut self, _pc: u32, inst: &Inst) {
+            let ops = &mut self.0;
+            inst.for_each_use(|_| ops.reg_reads += 1);
+            if inst.def().is_some() {
+                ops.reg_writes += 1;
+            }
+            match inst {
+                Inst::Bin { op, .. } if op.is_long_latency() => ops.div += 1,
+                Inst::Bin { op, .. } if op.uses_mac() => ops.mac += 1,
+                Inst::Bin { op, .. } if op.uses_shifter() => ops.shift += 1,
+                Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Copy { .. } => ops.alu += 1,
+                Inst::Load { .. } | Inst::FrameLoad { .. } => ops.loads += 1,
+                Inst::Store { .. } | Inst::FrameStore { .. } => ops.stores += 1,
+                Inst::Call { .. } => ops.calls += 1,
+                Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. } => {}
+            }
+        }
+
+        fn ret(&mut self, _pc: u32, val: Option<&Operand>) {
+            self.0.rets += 1;
+            if val.and_then(|o| o.as_reg()).is_some() {
+                self.0.reg_reads += 1;
+            }
+        }
+
+        fn jump(&mut self, _pc: u32) {
+            self.0.jumps += 1;
+        }
+
+        fn cond_branch(&mut self, _f: FuncId, _b: BlockId, _pc: u32, _c: VReg, _t: bool) {
+            self.0.reg_reads += 1;
+            self.0.cond_branches += 1;
+        }
+    }
+
+    #[test]
+    fn op_counts_match_a_per_instruction_count() {
+        let m = op_mix();
+        let count = |cfg: &OptConfig| {
+            let img = compile(&m, cfg);
+            let mut per_issue = PerIssue::default();
+            walk::run(&img, &m, &[], ExecLimits::default(), &mut per_issue).unwrap();
+            let ops = profile(&img, &m, &[], ExecLimits::default()).unwrap().ops;
+            assert_eq!(ops, per_issue.0);
+            (img, ops)
+        };
+        // `-O0` keeps every class, frame traffic included; `-O3` inlines
+        // the call and hoists the load, and must agree all the same.
+        let (img, ops) = count(&OptConfig::o0());
+        let frame_ops = img
+            .funcs
+            .iter()
+            .flat_map(|mf| &mf.func.blocks)
+            .flat_map(|b| b.body())
+            .filter(|i| matches!(i, Inst::FrameLoad { .. } | Inst::FrameStore { .. }))
+            .count();
+        assert!(frame_ops >= 2, "no frame loads or stores to count");
+        for n in [ops.div, ops.mac, ops.shift, ops.calls, ops.rets, ops.loads] {
+            assert!(n >= 19, "{ops:?}");
+        }
+        count(&OptConfig::o3());
     }
 
     #[test]

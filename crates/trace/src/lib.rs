@@ -712,6 +712,15 @@ mod tests {
     use super::*;
     use crate::read::{read_trace, TraceRecord};
 
+    /// Held by every test that opens spans: the global sink records the
+    /// spans of the whole process, so they must not overlap the test that
+    /// counts what it sinked.
+    static SPANS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive_spans() -> std::sync::MutexGuard<'static, ()> {
+        SPANS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn level_parse_and_order() {
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
@@ -784,6 +793,7 @@ mod tests {
     /// that touches the global sink (tests share a process).
     #[test]
     fn global_sink_round_trip() {
+        let _spans = exclusive_spans();
         let dir = std::env::temp_dir().join(format!("portopt-trace-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -856,6 +866,7 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique_across_threads() {
+        let _spans = exclusive_spans();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {

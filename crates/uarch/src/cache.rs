@@ -10,6 +10,7 @@
 //! approximation for large `D`.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Number of quarter-log2 buckets (covers distances up to ~2^30).
 const BUCKETS: usize = 124;
@@ -25,6 +26,43 @@ pub struct ReuseHistogram {
 }
 
 fn bucket_of(d: u64) -> usize {
+    if d < 16 {
+        return d as usize;
+    }
+    // Bucket 4k starts at 2^k, so the octave narrows `d` to four buckets.
+    let starts = bucket_starts();
+    let mut b = (4 * d.ilog2() as usize).min(BUCKETS - 1);
+    while b + 1 < BUCKETS && d >= starts[b + 1] {
+        b += 1;
+    }
+    b
+}
+
+/// The least distance in every bucket, found once by bisecting
+/// [`bucket_by_log`], so that [`bucket_of`] agrees with it bit for bit
+/// without taking a logarithm per access.
+fn bucket_starts() -> &'static [u64; BUCKETS] {
+    static STARTS: OnceLock<[u64; BUCKETS]> = OnceLock::new();
+    STARTS.get_or_init(|| {
+        let mut starts = [0; BUCKETS];
+        for (b, start) in starts.iter_mut().enumerate() {
+            let (mut lo, mut hi) = (0u64, 1 << 40);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if bucket_by_log(mid) >= b {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            *start = lo;
+        }
+        starts
+    })
+}
+
+/// The bucket definition.
+fn bucket_by_log(d: u64) -> usize {
     // Exact buckets for small distances, quarter-log2 beyond 16.
     if d < 16 {
         d as usize
@@ -119,95 +157,25 @@ pub fn miss_probability(d: f64, sets: u32, assoc: u32) -> f64 {
     (1.0 - cdf).clamp(0.0, 1.0)
 }
 
-/// An exact LRU stack-distance tracker (Bennett–Kruskal with a Fenwick
-/// tree): `O(log n)` per access.
-#[derive(Debug, Clone, Default)]
-pub struct StackDistance {
-    /// block -> last access time (1-based).
-    last: std::collections::HashMap<u64, usize>,
-    /// Fenwick tree over time slots; 1 while a slot is some block's most
-    /// recent access.
-    tree: Vec<u64>,
-    time: usize,
-}
-
-impl StackDistance {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        StackDistance {
-            last: std::collections::HashMap::new(),
-            tree: vec![0; 1024],
-            time: 0,
-        }
-    }
-
-    fn add(&mut self, mut i: usize, v: i64) {
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + v) as u64;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn sum(&self, mut i: usize) -> u64 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Records an access to `block`, returning the stack distance
-    /// (`None` on first touch).
-    pub fn access(&mut self, block: u64) -> Option<u64> {
-        self.time += 1;
-        if self.time + 1 >= self.tree.len() {
-            self.tree.resize(self.tree.len() * 2, 0);
-            // Rebuild: Fenwick trees cannot be resized in place.
-            let mut fresh = vec![0u64; self.tree.len()];
-            std::mem::swap(&mut self.tree, &mut fresh);
-            let entries: Vec<usize> = self.last.values().copied().collect();
-            for t in entries {
-                self.add(t, 1);
-            }
-        }
-        let dist = match self.last.insert(block, self.time) {
-            Some(prev) => {
-                // Distinct blocks accessed after `prev`.
-                let d = self.sum(self.time - 1) - self.sum(prev);
-                self.add(prev, -1);
-                Some(d)
-            }
-            None => None,
-        };
-        self.add(self.time, 1);
-        dist
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn stack_distance_classic_sequence() {
-        let mut sd = StackDistance::new();
-        assert_eq!(sd.access(1), None);
-        assert_eq!(sd.access(2), None);
-        assert_eq!(sd.access(3), None);
-        assert_eq!(sd.access(1), Some(2)); // 2 distinct (2,3) in between
-        assert_eq!(sd.access(1), Some(0)); // immediate re-access
-        assert_eq!(sd.access(2), Some(2)); // 3,1 in between
-    }
-
-    #[test]
-    fn stack_distance_survives_resize() {
-        let mut sd = StackDistance::new();
-        for i in 0..5000u64 {
-            assert_eq!(sd.access(i), None);
+    fn bucket_of_agrees_with_the_log_formula() {
+        for d in 0..1 << 20 {
+            assert_eq!(bucket_of(d), bucket_by_log(d), "distance {d}");
         }
-        // All 5000 distinct; re-access block 0: distance 4999.
-        assert_eq!(sd.access(0), Some(4999));
+        for &start in bucket_starts() {
+            for d in [start.saturating_sub(1), start, start + 1] {
+                assert_eq!(bucket_of(d), bucket_by_log(d), "distance {d}");
+            }
+        }
+        let mut d = 1u64 << 20;
+        while d < 1 << 62 {
+            assert_eq!(bucket_of(d), bucket_by_log(d), "distance {d}");
+            d += d / 1000 + 1;
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub use btb::{
     estimate as estimate_branches, estimate_from_totals as estimate_branches_from_totals,
     BranchModel, BranchStats, BranchTotals,
 };
-pub use cache::{miss_probability, ReuseHistogram, StackDistance};
+pub use cache::{miss_probability, ReuseHistogram};
 pub use cacti::{access_cycles, access_ns, latencies, Latencies, MEM_NS};
 pub use counters::{FeatureVec, PerfCounters, N_FEATURES};
 pub use space::{

@@ -2,12 +2,28 @@
 //! and boundedness over arbitrary inputs.
 
 use portopt_uarch::{
-    access_ns, latencies, miss_probability, MicroArch, MicroArchSpace, ReuseHistogram,
-    StackDistance, ASSOCS, BLOCKS, SIZES,
+    access_ns, latencies, miss_probability, MicroArch, MicroArchSpace, ReuseHistogram, ASSOCS,
+    BLOCKS, SIZES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// LRU stack distance by definition: a block's distance is its position
+/// in the recency list.
+#[derive(Default)]
+struct StackDistance(Vec<u64>);
+
+impl StackDistance {
+    fn access(&mut self, block: u64) -> Option<u64> {
+        let pos = self.0.iter().position(|&b| b == block);
+        if let Some(p) = pos {
+            self.0.remove(p);
+        }
+        self.0.insert(0, block);
+        pos.map(|p| p as u64)
+    }
+}
 
 proptest! {
     /// Miss probability is a probability, monotone in distance and
@@ -64,7 +80,7 @@ proptest! {
     #[test]
     fn histogram_misses_bounded_and_monotone(seed in 0u64..100_000, n in 50usize..800) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sd = StackDistance::new();
+        let mut sd = StackDistance::default();
         let mut h = ReuseHistogram::new();
         let universe = rng.gen_range(4u64..512);
         for _ in 0..n {
@@ -87,7 +103,7 @@ proptest! {
     #[test]
     fn stack_distance_bounded(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sd = StackDistance::new();
+        let mut sd = StackDistance::default();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..400 {
             let b = rng.gen_range(0u64..64);
