@@ -222,6 +222,14 @@ impl Deserialize for ServeRequest {
                 ))
             }
         };
+        // A module request is priced on `uarch`, and the timing model
+        // only knows the Table 2 menus (a block size outside them used to
+        // panic the whole drain). Feature requests never price theirs.
+        if let RequestInput::Module(_) = input {
+            uarch
+                .check_menus()
+                .map_err(|e| serde::Error::new(format!("uarch outside the design space: {e}")))?;
+        }
         Ok(ServeRequest {
             id,
             input,

@@ -306,6 +306,86 @@ fn non_finite_features_are_rejected_per_request_not_per_batch() {
     assert_eq!(stats.discarded, 0);
 }
 
+/// A module request whose `uarch` lies outside the Table 2 menus (here a
+/// 12-byte instruction-cache block) used to reach the timing model and
+/// panic the whole drain, so its healthy neighbours got no reply. It is
+/// now refused at admission with an in-order error naming the field, its
+/// value and the menu. A feature request never prices its `uarch`, so the
+/// same configuration there is still answered.
+#[test]
+fn out_of_menu_uarch_is_rejected_per_request_not_per_batch() {
+    let (ds, snap) = fixture();
+    let service = PredictionService::new(snap, 1);
+    let mut mb = ModuleBuilder::new("tiny");
+    let mut b = FuncBuilder::new("main", 0);
+    let acc = b.iconst(0);
+    b.counted_loop(0, 50, 1, |b, i| {
+        let t = b.add(acc, i);
+        b.assign(acc, t);
+    });
+    b.ret(acc);
+    let main = mb.add(b.finish());
+    mb.entry(main);
+    let module = mb.finish();
+    let odd = MicroArch {
+        il1_block: 12,
+        ..MicroArch::xscale()
+    };
+    let module_line = |id, uarch| {
+        serde_json::to_string(&ServeRequest {
+            id: Some(id),
+            input: RequestInput::Module(Box::new(module.clone())),
+            uarch,
+            apply: true,
+        })
+        .unwrap()
+    };
+    let features = request_line(&ds, 3, 0);
+    let mut odd_features: ServeRequest = serde_json::from_str(&features).unwrap();
+    odd_features.id = Some(5);
+    odd_features.uarch = odd;
+    let odd_features = serde_json::to_string(&odd_features).unwrap();
+    let input = [
+        features,
+        module_line(1, odd),
+        module_line(2, MicroArch::xscale()),
+        odd_features,
+    ]
+    .join("\n");
+
+    let mut out = Vec::new();
+    let mut stats = portopt_serve::ServiceStats::default();
+    service
+        .run_lines(input.as_bytes(), &mut out, 8, &mut stats)
+        .unwrap();
+    let replies: Vec<ServeResponse> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    assert_eq!(stats.batches, 1, "all four requests share one drain");
+    assert_eq!(replies.len(), 4);
+
+    assert_eq!(replies[0].id, 300_000);
+    assert!(replies[0].error.is_none(), "{:?}", replies[0]);
+
+    assert_eq!(replies[1].id, 1);
+    let msg = replies[1].error.as_deref().expect("odd uarch accepted");
+    assert!(msg.contains("uarch outside the design space"), "{msg}");
+    assert!(msg.contains("il1_block"), "{msg}");
+    assert!(msg.contains("12"), "{msg}");
+    assert!(msg.contains("[8, 16, 32, 64]"), "{msg}");
+
+    assert_eq!(replies[2].id, 2);
+    assert!(replies[2].error.is_none(), "{:?}", replies[2]);
+    assert!(replies[2].stats.is_some());
+
+    assert_eq!(replies[3].id, 5);
+    assert!(replies[3].error.is_none(), "{:?}", replies[3]);
+    assert_eq!(replies[3].choices, replies[0].choices);
+    assert_eq!(stats.errors, 1);
+}
+
 /// The queue cap is a hard ceiling: with `--queue-cap N`, the pending
 /// count never exceeds N, every refusal carries the `overloaded` error
 /// with a `retry_after_ms` hint, and draining reopens admission.

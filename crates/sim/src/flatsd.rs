@@ -23,9 +23,22 @@
 //! half of it, so the tree and the timestamps stay within a small multiple
 //! of the distinct-line count however long the run is.
 //!
+//! **Weighted entries.** A `FlatStackDistance<true>` (built by
+//! [`FlatStackDistance::weighted`]) also takes
+//! [`access_weighted`](FlatStackDistance::access_weighted): one entry that
+//! stands for `w` lines always touched together. Every distance is then a
+//! sum of weights: a buffer hit at position `j` is the weight of slots
+//! `0..j`, a mark carries its entry's weight, and the deep and buffered
+//! totals are weight sums. Compaction rebuilds the tree from the
+//! per-timestamp weights (a unit tracker's are all 1). The returned
+//! distance counts the lines of the *other* entries; the caller adds the
+//! entry's own `w - 1`. Unit-weight trackers (`FlatStackDistance<false>`,
+//! the default, built by [`FlatStackDistance::new`]) store no weights and
+//! pay nothing for them.
+//!
 //! The profiler runs nine of these (four block sizes for each of the data
 //! and instruction streams, plus the branch-PC stream), so constant factors
-//! matter.
+//! matter. Only the four instruction-stream trackers are weighted.
 
 /// Length of the recency buffer. At most 32: a `u32` mask holds one bit
 /// per slot.
@@ -38,41 +51,83 @@ const INITIAL_TREE: usize = 4096;
 /// An empty recency-buffer slot. No line index reaches it.
 const EMPTY: u32 = u32::MAX;
 
-/// Flat-array stack-distance tracker.
+/// Flat-array stack-distance tracker; `W` enables weighted entries.
 #[derive(Debug, Clone)]
-pub struct FlatStackDistance {
+pub struct FlatStackDistance<const W: bool = false> {
     /// The `buffered` most recent distinct lines, most recent first; the
     /// rest of the slots are `EMPTY`.
     recent: [u32; K],
+    /// With `W`, the weight of each `recent` slot; unused otherwise.
+    recent_weight: [u32; K],
     buffered: usize,
+    /// With `W`, the total weight of the buffered lines; unused otherwise
+    /// (a deep hit always sees a full buffer of `K` unit lines).
+    buffered_weight: u32,
     /// `last[line]`: the timestamp of the line's mark; 0 while the line is
     /// buffered or untouched.
     last: Vec<u32>,
     /// `owner[t]`: the line stamped `t` (stale once that line moved on).
     owner: Vec<u32>,
-    /// Fenwick tree over timestamps: 1 at every deep line's timestamp.
+    /// With `W`, `weight[t]`: the weight of the mark stamped `t`; empty
+    /// otherwise (every mark is 1).
+    weight: Vec<u32>,
+    /// Fenwick tree over timestamps: each deep line's weight at its
+    /// timestamp.
     tree: Vec<u32>,
     /// The latest timestamp handed out.
     time: u32,
-    /// Number of deep lines, i.e. of marks in the tree.
+    /// Total weight of the deep lines, i.e. of the marks in the tree.
     deep: u32,
 }
 
 impl FlatStackDistance {
-    /// Creates a tracker for line indices `< capacity`.
+    /// Creates a unit-weight tracker for line indices `< capacity`.
     ///
     /// # Panics
     /// Panics if `capacity` does not fit a `u32` index.
     pub fn new(capacity: usize) -> Self {
+        Self::empty(capacity)
+    }
+}
+
+impl FlatStackDistance<true> {
+    /// Creates a tracker for line indices `< capacity` that also takes
+    /// weighted entries.
+    ///
+    /// # Panics
+    /// Panics if `capacity` does not fit a `u32` index.
+    pub fn weighted(capacity: usize) -> Self {
+        Self::empty(capacity)
+    }
+
+    /// Records an access to `key`, an entry standing for `weight` lines
+    /// always touched together. Returns the summed weight of the other
+    /// entries touched since `key`'s previous access, `None` on first
+    /// touch. A key must keep its weight for the tracker's lifetime.
+    ///
+    /// # Panics
+    /// Panics if `key` is outside the capacity given at construction.
+    #[inline]
+    pub fn access_weighted(&mut self, key: usize, weight: u32) -> Option<u64> {
+        debug_assert!(weight > 0, "zero-weight entry");
+        self.touch(key, weight)
+    }
+}
+
+impl<const W: bool> FlatStackDistance<W> {
+    fn empty(capacity: usize) -> Self {
         assert!(
             capacity < EMPTY as usize,
             "stack-distance capacity {capacity} too large"
         );
         FlatStackDistance {
             recent: [EMPTY; K],
+            recent_weight: [0; K],
             buffered: 0,
+            buffered_weight: 0,
             last: vec![0; capacity],
             owner: vec![0; INITIAL_TREE],
+            weight: if W { vec![0; INITIAL_TREE] } else { Vec::new() },
             tree: vec![0; INITIAL_TREE],
             time: 0,
             deep: 0,
@@ -80,12 +135,18 @@ impl FlatStackDistance {
     }
 
     /// Records an access to `line`; returns the stack distance, `None` on
-    /// first touch.
+    /// first touch. In a weighted tracker `line` is a unit entry.
     ///
     /// # Panics
     /// Panics if `line` is outside the capacity given at construction.
     #[inline]
     pub fn access(&mut self, line: usize) -> Option<u64> {
+        self.touch(line, 1)
+    }
+
+    /// The one access path; `w` is ignored without `W`.
+    #[inline]
+    fn touch(&mut self, line: usize, w: u32) -> Option<u64> {
         assert!(line < self.last.len(), "line {line} out of range");
         let key = line as u32;
         if self.recent[0] == key {
@@ -102,7 +163,13 @@ impl FlatStackDistance {
             let j = hit.trailing_zeros() as usize;
             self.recent.copy_within(0..j, 1);
             self.recent[0] = key;
-            return Some(j as u64);
+            if !W {
+                return Some(j as u64);
+            }
+            let dist: u32 = self.recent_weight[..j].iter().sum();
+            self.recent_weight.copy_within(0..j, 1);
+            self.recent_weight[0] = w;
+            return Some(dist as u64);
         }
         let prev = self.last[line];
         let dist = if prev == 0 {
@@ -113,20 +180,31 @@ impl FlatStackDistance {
             let after = self.deep - self.prefix(prev);
             self.unmark(prev);
             self.last[line] = 0;
-            Some((K as u32 + after) as u64)
+            let buffered = if W { self.buffered_weight } else { K as u32 };
+            Some((buffered + after) as u64)
         };
         if self.buffered == K {
-            self.stamp(self.recent[K - 1]);
+            let (evicted, ew) = (self.recent[K - 1], self.recent_weight[K - 1]);
+            self.stamp(evicted, ew);
+            if W {
+                self.buffered_weight -= ew;
+            }
         } else {
             self.buffered += 1;
         }
         self.recent.copy_within(0..K - 1, 1);
         self.recent[0] = key;
+        if W {
+            self.recent_weight.copy_within(0..K - 1, 1);
+            self.recent_weight[0] = w;
+            self.buffered_weight += w;
+        }
         dist
     }
 
-    /// Marks `line`, just evicted from the buffer, with the next timestamp.
-    fn stamp(&mut self, line: u32) {
+    /// Marks `line` of weight `w` (1 without `W`), just evicted from the
+    /// buffer, with the next timestamp.
+    fn stamp(&mut self, line: u32, w: u32) {
         if self.time as usize + 1 >= self.tree.len() {
             self.compact();
         }
@@ -134,21 +212,28 @@ impl FlatStackDistance {
         let t = self.time;
         self.last[line as usize] = t;
         self.owner[t as usize] = line;
-        self.deep += 1;
+        let w = if W {
+            self.weight[t as usize] = w;
+            w
+        } else {
+            1
+        };
+        self.deep += w;
         let n = self.tree.len() as u32;
         let mut i = t;
         while i < n {
-            self.tree[i as usize] += 1;
+            self.tree[i as usize] += w;
             i += i & i.wrapping_neg();
         }
     }
 
     #[inline]
     fn unmark(&mut self, mut i: u32) {
-        self.deep -= 1;
+        let w = if W { self.weight[i as usize] } else { 1 };
+        self.deep -= w;
         let n = self.tree.len() as u32;
         while i < n {
-            self.tree[i as usize] -= 1;
+            self.tree[i as usize] -= w;
             i += i & i.wrapping_neg();
         }
     }
@@ -163,32 +248,49 @@ impl FlatStackDistance {
         s
     }
 
-    /// Renumbers the live deep lines `1..=deep` in recency order and
+    /// Renumbers the live deep lines `1..=n` in recency order and
     /// rebuilds the tree, doubling it if they would fill more than half.
     fn compact(&mut self) {
         let mut n = 0u32;
         for t in 1..=self.time {
             let line = self.owner[t as usize];
-            // Writes go to `owner[n]` with `n <= t`, behind the reads.
+            // Writes go to slot `n <= t`, behind the reads.
             if self.last[line as usize] == t {
                 n += 1;
                 self.owner[n as usize] = line;
                 self.last[line as usize] = n;
+                if W {
+                    self.weight[n as usize] = self.weight[t as usize];
+                }
             }
         }
-        debug_assert_eq!(n, self.deep);
         let mut len = self.tree.len();
         while 2 * (n as usize + 1) > len {
             len *= 2;
         }
         self.owner.resize(len, 0);
         self.tree.resize(len, 0);
-        // The marks are exactly slots 1..=n, and node `i` sums the slots
-        // (i - lowbit(i), i].
-        for (i, node) in self.tree.iter_mut().enumerate().skip(1) {
-            let low = i - (i & i.wrapping_neg());
-            *node = (i.min(n as usize).saturating_sub(low)) as u32;
+        if W {
+            self.weight.resize(len, 0);
         }
+        // The marks are exactly slots 1..=n. Seed each node with its own
+        // slot, then push every node into its parent, so that node `i`
+        // sums the slots (i - lowbit(i), i].
+        for (i, node) in self.tree.iter_mut().enumerate() {
+            *node = match i {
+                0 => 0,
+                _ if i > n as usize => 0,
+                _ if W => self.weight[i],
+                _ => 1,
+            };
+        }
+        for i in 1..len {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < len {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+        debug_assert_eq!(self.prefix(n), self.deep);
         self.time = n;
     }
 }
@@ -273,6 +375,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn weighted_cycle_distances_survive_compaction() {
+        // A cycle over more entries than the buffer holds, with weights:
+        // each repeat is the summed weight of the other entries, through
+        // the buffer edge, the tree and many compactions.
+        let lines = K + 8;
+        let weight = |b: usize| (b % 5) as u32 * 7 + 1;
+        let others = |b: usize| (0..lines).filter(|&o| o != b).map(weight).sum::<u32>();
+        let mut sd = FlatStackDistance::weighted(lines);
+        for round in 0..10_000u64 {
+            for b in 0..lines {
+                let d = sd.access_weighted(b, weight(b));
+                let want = (round > 0).then(|| u64::from(others(b)));
+                assert_eq!(d, want, "round {round} entry {b}");
+            }
+        }
+        assert!(sd.tree.len() <= INITIAL_TREE);
     }
 
     #[test]

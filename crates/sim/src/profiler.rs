@@ -75,8 +75,12 @@ struct Profiler {
     prof: ExecProfile,
     /// Stack-distance trackers for the data stream, per block size.
     dsd: Vec<FlatStackDistance>,
-    /// Stack-distance trackers for the instruction stream, per block size.
-    isd: Vec<FlatStackDistance>,
+    /// Stack-distance trackers for the instruction stream, per block size:
+    /// line indices below `group_base`, then one weighted group per block.
+    isd: Vec<FlatStackDistance<true>>,
+    /// `group_base[k]`: the key of global block 0's group of whole lines
+    /// at `BLOCK_SIZES[k]`; block `g`'s group is `group_base[k] + g`.
+    group_base: Vec<u32>,
     /// Branch-PC stream tracker.
     bsd: FlatStackDistance,
     /// Previous direction per branch site (for transition counts).
@@ -114,7 +118,11 @@ impl Profiler {
                 .collect(),
             isd: BLOCK_SIZES
                 .iter()
-                .map(|&bs| FlatStackDistance::new(code_end / bs as usize + 2))
+                .map(|&bs| FlatStackDistance::weighted(code_end / bs as usize + 2 + total_blocks))
+                .collect(),
+            group_base: BLOCK_SIZES
+                .iter()
+                .map(|&bs| code_end as u32 / bs + 2)
                 .collect(),
             bsd: FlatStackDistance::new(code_end / 4 + 2),
             prev_dir: vec![None; total_blocks],
@@ -131,14 +139,42 @@ impl Profiler {
         }
     }
 
+    /// Fetches the bytes `start..end` of the block with global index
+    /// `block`, whose own instructions start at `addr` (`start < addr`
+    /// when the fetch rolls in through its padding).
+    ///
+    /// The distances are those of a fetch line by line, but the lines
+    /// wholly inside `addr..end` (the block's *group*) are one weighted
+    /// tracker entry. `layout_module` places blocks in disjoint ranges,
+    /// each block's padding before its own `addr`, so no other block
+    /// touches a group line, and every fetch of the block touches all `w`
+    /// of them together. For group line `y`, the lines touched since `y`'s
+    /// previous access are those touched since the group's previous access
+    /// (the group's weighted distance `dg`) plus the group's other `w - 1`
+    /// lines. So each of the `w` lines has distance `dg + w - 1`, or is a
+    /// first touch. The partial lines around the group, and blocks with
+    /// no whole line, are fetched one line at a time.
     #[inline]
-    fn fetch_range(&mut self, start: u32, end: u32) {
+    fn fetch_range(&mut self, start: u32, addr: u32, end: u32, block: u32) {
         for (k, &bs) in BLOCK_SIZES.iter().enumerate() {
+            let (sd, hist) = (&mut self.isd[k], &mut self.prof.icache_reuse[k]);
             let first = start / bs;
             let last = (end - 1) / bs;
-            for line in first..=last {
-                let d = self.isd[k].access(line as usize);
-                self.prof.icache_reuse[k].record(d);
+            let (lo, hi) = (addr.div_ceil(bs), end / bs);
+            if hi <= lo {
+                for line in first..=last {
+                    hist.record(sd.access(line as usize));
+                }
+                continue;
+            }
+            for line in first..lo {
+                hist.record(sd.access(line as usize));
+            }
+            let w = hi - lo;
+            let dg = sd.access_weighted((self.group_base[k] + block) as usize, w);
+            hist.record_n(dg.map(|d| d + u64::from(w - 1)), u64::from(w));
+            for line in hi..=last {
+                hist.record(sd.access(line as usize));
             }
         }
     }
@@ -163,8 +199,8 @@ impl Observer for Profiler {
             } else {
                 lay.addr
             };
-            let end = (lay.addr + lay.bytes).max(start + 1);
-            self.fetch_range(start, end);
+            let block = self.block_offset[f.index()] + b.index();
+            self.fetch_range(start, lay.addr, lay.addr + lay.bytes, block as u32);
         }
         if by_fall {
             self.prof.pad_fetches += (lay.pad / 4) as u64;
@@ -330,6 +366,145 @@ mod tests {
             self.0.reg_reads += 1;
             self.0.cond_branches += 1;
         }
+    }
+
+    /// Fetches every block one line at a time at each block size, with
+    /// unit-weight trackers: the instruction stream by its definition. It
+    /// also tallies the fetch shapes it saw, so a test can check that it
+    /// covered them.
+    struct PerLineFetch {
+        sd: Vec<FlatStackDistance>,
+        hist: Vec<ReuseHistogram>,
+        /// Fetches that rolled in through padding.
+        through_pad: usize,
+        /// Fetches of non-empty blocks that fit in one line, at some size.
+        single_line: usize,
+        /// Fetches of non-empty blocks ending on a line boundary, at some size.
+        ends_on_boundary: usize,
+        /// Entries to empty blocks.
+        empty: usize,
+    }
+
+    impl PerLineFetch {
+        fn new(img: &CodeImage) -> Self {
+            let code_end = (portopt_passes::CODE_BASE + img.code_bytes) as usize;
+            PerLineFetch {
+                sd: BLOCK_SIZES
+                    .iter()
+                    .map(|&bs| FlatStackDistance::new(code_end / bs as usize + 2))
+                    .collect(),
+                hist: BLOCK_SIZES.iter().map(|_| ReuseHistogram::new()).collect(),
+                through_pad: 0,
+                single_line: 0,
+                ends_on_boundary: 0,
+                empty: 0,
+            }
+        }
+    }
+
+    impl Observer for PerLineFetch {
+        fn block(&mut self, _f: FuncId, _b: BlockId, lay: &BlockLayout, _n: usize, by_fall: bool) {
+            if lay.bytes == 0 {
+                self.empty += 1;
+            }
+            if !(lay.bytes > 0 || (by_fall && lay.pad > 0)) {
+                return;
+            }
+            let start = if by_fall {
+                lay.addr - lay.pad
+            } else {
+                lay.addr
+            };
+            let end = lay.addr + lay.bytes;
+            self.through_pad += usize::from(start < lay.addr);
+            for (k, &bs) in BLOCK_SIZES.iter().enumerate() {
+                if lay.bytes > 0 {
+                    self.single_line += usize::from(lay.addr / bs == (end - 1) / bs);
+                    self.ends_on_boundary += usize::from(end.is_multiple_of(bs));
+                }
+                for line in start / bs..=(end - 1) / bs {
+                    self.hist[k].record(self.sd[k].access(line as usize));
+                }
+            }
+        }
+    }
+
+    /// A loop over a diamond, a one-armed branch into an empty join, a
+    /// call and a short inner loop: blocks of many lengths, several of
+    /// them entered by fall-through.
+    fn branchy() -> Module {
+        let mut mb = ModuleBuilder::new("branchy");
+        let mut k = FuncBuilder::new("leaf", 1);
+        let x = k.param(0);
+        let y = k.mul(x, 3);
+        k.ret(y);
+        let leaf = mb.add(k.finish());
+        let mut b = FuncBuilder::new("main", 0);
+        let acc = b.iconst(0);
+        b.counted_loop(0, 60, 1, |b, i| {
+            let m = b.and(i, 3);
+            let z = b.cmp(portopt_ir::Pred::Eq, m, 0);
+            b.if_else(
+                z,
+                |b| {
+                    let v = b.call(leaf, &[i.into()]);
+                    let t = b.add(acc, v);
+                    b.assign(acc, t);
+                },
+                |b| {
+                    let t = b.sub(acc, 1);
+                    let u = b.xor(t, i);
+                    let w = b.or(u, 5);
+                    let v = b.add(w, i);
+                    b.assign(acc, v);
+                },
+            );
+            let odd = b.and(i, 1);
+            b.if_then(odd, |b| {
+                let t = b.add(acc, 2);
+                b.assign(acc, t);
+            });
+            b.counted_loop(0, 3, 1, |b, j| {
+                let t = b.add(acc, j);
+                b.assign(acc, t);
+            });
+        });
+        b.ret(acc);
+        let id = mb.add(b.finish());
+        mb.entry(id);
+        mb.finish()
+    }
+
+    #[test]
+    fn grouped_fetch_matches_a_per_line_fetch() {
+        let mut seen = (0, 0, 0, 0);
+        for m in [branchy(), op_mix(), walker(16, 2)] {
+            for base in [OptConfig::o0(), OptConfig::o3()] {
+                for flags in 0..16u32 {
+                    let cfg = OptConfig {
+                        align_labels: flags & 1 != 0,
+                        align_jumps: flags & 2 != 0,
+                        align_loops: flags & 4 != 0,
+                        align_functions: flags & 8 != 0,
+                        ..base
+                    };
+                    let img = compile(&m, &cfg);
+                    let mut per_line = PerLineFetch::new(&img);
+                    walk::run(&img, &m, &[], ExecLimits::default(), &mut per_line).unwrap();
+                    let p = profile(&img, &m, &[], ExecLimits::default()).unwrap();
+                    assert_eq!(p.icache_reuse, per_line.hist, "{} flags {flags}", m.name);
+                    seen.0 += per_line.through_pad;
+                    seen.1 += per_line.single_line;
+                    seen.2 += per_line.ends_on_boundary;
+                    seen.3 += per_line.empty;
+                }
+            }
+        }
+        let (through_pad, single_line, ends_on_boundary, empty) = seen;
+        assert!(through_pad > 0, "no fetch through padding");
+        assert!(single_line > 0, "no single-line block");
+        assert!(ends_on_boundary > 0, "no block ending on a line boundary");
+        assert!(empty > 0, "no empty block entered");
     }
 
     #[test]

@@ -101,6 +101,17 @@ impl ReuseHistogram {
         }
     }
 
+    /// Records `n` accesses at the same distance: the same histogram as
+    /// `n` calls to [`record`](Self::record).
+    #[inline]
+    pub fn record_n(&mut self, dist: Option<u64>, n: u64) {
+        self.total += n;
+        match dist {
+            None => self.cold += n,
+            Some(d) => self.counts[bucket_of(d)] += n,
+        }
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &ReuseHistogram) {
         if self.counts.is_empty() {
@@ -238,6 +249,28 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.accesses(), 4);
         assert_eq!(a.cold, 1);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        // A first touch, exact small buckets, and log buckets from their
+        // first distance up to the last, catch-all one.
+        let dists = [None, Some(0), Some(1), Some(7), Some(15)]
+            .into_iter()
+            .chain([16, 17, 19, 100, 1 << 20, 1 << 31, u64::MAX].map(Some));
+        for dist in dists {
+            for n in [0, 1, 3, 64] {
+                let mut batched = ReuseHistogram::new();
+                batched.record(Some(2));
+                batched.record_n(dist, n);
+                let mut single = ReuseHistogram::new();
+                single.record(Some(2));
+                for _ in 0..n {
+                    single.record(dist);
+                }
+                assert_eq!(batched, single, "dist {dist:?} n {n}");
+            }
+        }
     }
 
     #[test]

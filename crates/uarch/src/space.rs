@@ -100,6 +100,32 @@ impl MicroArch {
         ]
     }
 
+    /// Checks every field against its menu (`SIZES`, `ASSOCS`, `BLOCKS`,
+    /// `BTB_ENTRIES`, `BTB_ASSOCS`, `FREQS`, `WIDTHS`). The timing model
+    /// prices only configurations drawn from them: a profile holds cache
+    /// histograms for the menu's block sizes alone.
+    ///
+    /// # Errors
+    /// Names the first field outside its menu, with its value and the menu.
+    pub fn check_menus(&self) -> Result<(), String> {
+        let fields: [(&str, u32, &[u32]); 10] = [
+            ("il1_size", self.il1_size, &SIZES),
+            ("il1_assoc", self.il1_assoc, &ASSOCS),
+            ("il1_block", self.il1_block, &BLOCKS),
+            ("dl1_size", self.dl1_size, &SIZES),
+            ("dl1_assoc", self.dl1_assoc, &ASSOCS),
+            ("dl1_block", self.dl1_block, &BLOCKS),
+            ("btb_entries", self.btb_entries, &BTB_ENTRIES),
+            ("btb_assoc", self.btb_assoc, &BTB_ASSOCS),
+            ("freq_mhz", self.freq_mhz, &FREQS),
+            ("width", self.width, &WIDTHS),
+        ];
+        match fields.iter().find(|(_, v, menu)| !menu.contains(v)) {
+            Some((name, v, menu)) => Err(format!("`{name}` is {v}, not in its menu {menu:?}")),
+            None => Ok(()),
+        }
+    }
+
     /// Descriptor names, for the Figure 9 Hinton diagram.
     pub fn descriptor_names() -> [&'static str; 8] {
         [
@@ -247,6 +273,29 @@ mod tests {
         let cs = MicroArchSpace::extended().sample_n(100, &mut rng);
         assert!(cs.iter().any(|c| c.freq_mhz != 400));
         assert!(cs.iter().any(|c| c.width == 2));
+    }
+
+    #[test]
+    fn check_menus_names_the_first_field_outside_its_menu() {
+        assert_eq!(MicroArch::xscale().check_menus(), Ok(()));
+        let mut rng = StdRng::seed_from_u64(3);
+        for c in MicroArchSpace::extended().sample_n(50, &mut rng) {
+            assert_eq!(c.check_menus(), Ok(()), "{c:?}");
+        }
+        let odd = MicroArch {
+            il1_block: 12,
+            width: 3,
+            ..MicroArch::xscale()
+        };
+        assert_eq!(
+            odd.check_menus(),
+            Err("`il1_block` is 12, not in its menu [8, 16, 32, 64]".to_string())
+        );
+        let odd = MicroArch {
+            btb_assoc: 16,
+            ..MicroArch::xscale()
+        };
+        assert!(odd.check_menus().unwrap_err().contains("btb_assoc"));
     }
 
     #[test]
