@@ -247,7 +247,7 @@ fn bench_serve(c: &mut Criterion) {
             for (i, line) in lines.iter().enumerate() {
                 let conn = if i % 2 == 0 { conn_a } else { conn_b };
                 registry.note_submitted(conn);
-                service.submit_line_for(conn, line);
+                service.classify_and_submit(conn, line);
             }
             service.discard_dead(|conn| !registry.live(conn));
             service.drain_routed(&mut stats)

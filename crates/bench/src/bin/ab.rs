@@ -160,8 +160,8 @@ fn run_ab(
         if line.trim().is_empty() {
             continue;
         }
-        let action_a = a.submit_line_for(LOCAL_CONN, &line);
-        let _ = b.submit_line_for(LOCAL_CONN, &line);
+        let action_a = a.classify_and_submit(LOCAL_CONN, &line);
+        let _ = b.classify_and_submit(LOCAL_CONN, &line);
         match action_a {
             LineAction::Shutdown => {
                 shutdown = true;

@@ -13,12 +13,13 @@
 //! The file is validated like the checkpoint journal: header first, then
 //! every complete record, with a torn final line (producer killed
 //! mid-append) reported rather than fatal. Span opens and closes are
-//! cross-checked ([`portopt_trace::read::check_spans`]); a file that
+//! cross-checked ([`portopt_bench::read::check_spans`]); a file that
 //! violates the open/close discipline exits 2, because it means the
 //! producer is buggy, not merely interrupted. See `docs/OBSERVABILITY.md`
 //! for the format and schema.
 
-use portopt_trace::read::{check_spans, read_trace, Json, TraceRecord};
+use portopt_bench::read::{check_spans, read_trace, TraceRecord};
+use serde::{Deserialize, Value};
 use std::collections::HashMap;
 
 fn usage() -> ! {
@@ -30,8 +31,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A field as the reports print it: strings bare, other values as JSON.
+fn shown(fields: &[(String, Value)], key: &str) -> String {
+    match field(fields, key) {
+        Some(Value::Str(s)) => s.clone(),
+        v => v.map_or("?".into(), |v| serde_json::to_string(v).unwrap_or_default()),
+    }
+}
+
+/// A non-negative integer field, 0 if absent.
+fn num(fields: &[(String, Value)], key: &str) -> u64 {
+    field(fields, key).map_or(0, |v| u64::from_value(v).unwrap_or(0))
 }
 
 /// One completed span, with its open and close context joined.
@@ -39,8 +53,8 @@ struct Closed {
     target: String,
     name: String,
     dur_us: u64,
-    open_fields: Vec<(String, Json)>,
-    close_fields: Vec<(String, Json)>,
+    open_fields: Vec<(String, Value)>,
+    close_fields: Vec<(String, Value)>,
 }
 
 fn fmt_us(us: u64) -> String {
@@ -117,7 +131,7 @@ fn main() {
     }
 
     // Join opens with closes into completed spans, preserving file order.
-    let mut open_at: HashMap<u64, (String, String, Vec<(String, Json)>)> = HashMap::new();
+    let mut open_at: HashMap<u64, (String, String, Vec<(String, Value)>)> = HashMap::new();
     let mut closed: Vec<Closed> = Vec::new();
     for r in &tf.records {
         match r {
@@ -186,15 +200,9 @@ fn main() {
             top.min(slowest.len())
         );
         for c in slowest.iter().take(top) {
-            let program = field(&c.open_fields, "program")
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "?".into());
-            let t = field(&c.open_fields, "t")
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "?".into());
-            let source = field(&c.close_fields, "source")
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "?".into());
+            let program = shown(&c.open_fields, "program");
+            let t = shown(&c.open_fields, "t");
+            let source = shown(&c.close_fields, "source");
             println!(
                 "    {:>10}  {program} setting {t} ({source})",
                 fmt_us(c.dur_us)
@@ -203,9 +211,7 @@ fn main() {
         // Per-program totals.
         let mut by_program: HashMap<String, (u64, u64)> = HashMap::new();
         for c in &pricings {
-            let program = field(&c.open_fields, "program")
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "?".into());
+            let program = shown(&c.open_fields, "program");
             let e = by_program.entry(program).or_insert((0, 0));
             e.0 += 1;
             e.1 += c.dur_us;
@@ -223,10 +229,8 @@ fn main() {
     for r in &tf.records {
         if let TraceRecord::Event { msg, fields, .. } = r {
             if msg == "uarch evaluated" {
-                let u = field(fields, "u")
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "?".into());
-                let eval_us = field(fields, "eval_us").and_then(Json::as_u64).unwrap_or(0);
+                let u = shown(fields, "u");
+                let eval_us = num(fields, "eval_us");
                 let e = by_uarch.entry(u).or_insert((0, 0));
                 e.0 += 1;
                 e.1 += eval_us;
@@ -251,10 +255,8 @@ fn main() {
         if let TraceRecord::Event { msg, fields, .. } = r {
             if msg == "map_indexed drained" {
                 drains += 1;
-                compute_us += field(fields, "compute_us")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                idle_us += field(fields, "idle_us").and_then(Json::as_u64).unwrap_or(0);
+                compute_us += num(fields, "compute_us");
+                idle_us += num(fields, "idle_us");
             }
         }
     }

@@ -129,22 +129,30 @@ impl CoordMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Every counter as `(summary-line name, metric name, value)`, in
+    /// output order: the one table both renderers read.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 8] {
+        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("granted", "leases_granted_total", g(&self.leases_granted)),
+            ("expired", "leases_expired_total", g(&self.leases_expired)),
+            ("retries", "retries_total", g(&self.retries)),
+            ("refusals", "refusals_total", g(&self.refusals)),
+            ("duplicates", "duplicates_total", g(&self.duplicates)),
+            ("workers_lost", "workers_lost_total", g(&self.workers_lost)),
+            ("shards_done", "shards_done", g(&self.shards_done)),
+            ("shards_failed", "shards_failed", g(&self.shards_failed)),
+        ]
+    }
+
     /// One human-readable summary line (printed by the `coordinator` bin
     /// on every state change and at exit).
     pub fn render_line(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "coordinator: granted={} expired={} retries={} refusals={} \
-             duplicates={} workers_lost={} shards_done={} shards_failed={}",
-            g(&self.leases_granted),
-            g(&self.leases_expired),
-            g(&self.retries),
-            g(&self.refusals),
-            g(&self.duplicates),
-            g(&self.workers_lost),
-            g(&self.shards_done),
-            g(&self.shards_failed),
-        )
+        let mut s = String::from("coordinator:");
+        for (name, _, v) in self.counters() {
+            s.push_str(&format!(" {name}={v}"));
+        }
+        s
     }
 
     /// Plaintext metrics snapshot in the exact style of
@@ -152,40 +160,10 @@ impl CoordMetrics {
     /// line), served live by the `coordinator` bin's `--metrics-port`
     /// endpoint while the plan runs.
     pub fn to_text(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut s = String::with_capacity(320);
-        s.push_str(&format!(
-            "portopt_coord_leases_granted_total {}\n",
-            g(&self.leases_granted)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_leases_expired_total {}\n",
-            g(&self.leases_expired)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_retries_total {}\n",
-            g(&self.retries)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_refusals_total {}\n",
-            g(&self.refusals)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_duplicates_total {}\n",
-            g(&self.duplicates)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_workers_lost_total {}\n",
-            g(&self.workers_lost)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_shards_done {}\n",
-            g(&self.shards_done)
-        ));
-        s.push_str(&format!(
-            "portopt_coord_shards_failed {}\n",
-            g(&self.shards_failed)
-        ));
+        for (_, metric, v) in self.counters() {
+            s.push_str(&format!("portopt_coord_{metric} {v}\n"));
+        }
         s
     }
 }
@@ -891,6 +869,40 @@ mod tests {
             }
             other => panic!("expected Shard, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn metrics_render_byte_for_byte() {
+        let m = CoordMetrics::default();
+        let counters = [
+            &m.leases_granted,
+            &m.leases_expired,
+            &m.retries,
+            &m.refusals,
+            &m.duplicates,
+            &m.workers_lost,
+            &m.shards_done,
+            &m.shards_failed,
+        ];
+        for (i, c) in counters.into_iter().enumerate() {
+            c.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        assert_eq!(
+            m.render_line(),
+            "coordinator: granted=1 expired=2 retries=3 refusals=4 \
+             duplicates=5 workers_lost=6 shards_done=7 shards_failed=8"
+        );
+        assert_eq!(
+            m.to_text(),
+            "portopt_coord_leases_granted_total 1\n\
+             portopt_coord_leases_expired_total 2\n\
+             portopt_coord_retries_total 3\n\
+             portopt_coord_refusals_total 4\n\
+             portopt_coord_duplicates_total 5\n\
+             portopt_coord_workers_lost_total 6\n\
+             portopt_coord_shards_done 7\n\
+             portopt_coord_shards_failed 8\n"
+        );
     }
 
     #[test]

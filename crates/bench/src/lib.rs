@@ -7,8 +7,10 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
+pub mod read;
 
 use portopt_core::{Dataset, GenOptions, ModelKind, SweepReport, SweepScale};
+use portopt_exec::artifact::write_atomic;
 use portopt_experiments::loo::{run_loo, LooResult};
 use portopt_experiments::{dataset_cached, suite_modules};
 use portopt_ir::Module;
@@ -514,20 +516,6 @@ impl BinArgs {
         }
     }
 
-    /// Writes `bytes` to `path` atomically: a temp file in the same
-    /// directory, flushed, then renamed over the target (the same
-    /// publication discipline as `DiskCache::put`). A crash mid-write
-    /// leaves either the old file or a stray `.tmp` — never a truncated
-    /// artifact for a reader to choke on.
-    pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            e
-        })
-    }
-
     /// Verifies that `path` can be created and written *now*, creating
     /// missing parent directories — called by the `sweep`, `snapshot` and
     /// `coordinator` bins before any pricing starts, so a typo'd output
@@ -541,9 +529,9 @@ impl BinArgs {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create directory {}: {e}", dir.display()))?;
         }
-        // Probe with a sibling temp file (same directory, same rename
-        // target as `write_atomic`), so the check exercises the exact
-        // permission the final publication needs.
+        // Probe with a sibling temp file (same directory as the temp file
+        // `artifact::write_atomic` renames from), so the check exercises
+        // the exact permission the final publication needs.
         let probe = format!("{path}.probe.{}", std::process::id());
         std::fs::write(&probe, b"").map_err(|e| format!("{path} is not writable: {e}"))?;
         let _ = std::fs::remove_file(&probe);
@@ -553,14 +541,15 @@ impl BinArgs {
     /// Writes a dataset as JSON and reports the artifact, exiting with
     /// status 2 on failure — the shared output path of the `sweep` bin
     /// (shard files) and `snapshot --dataset-out` (the merged dataset).
-    /// Publication is atomic ([`BinArgs::write_atomic`]): a crash mid-write
-    /// can never leave a truncated shard for `snapshot --shard`.
+    /// Publication is atomic (`portopt_exec::artifact::write_atomic`): a
+    /// crash mid-write can never leave a truncated shard for
+    /// `snapshot --shard`.
     pub fn write_dataset(path: &str, ds: &Dataset) {
         let bytes = serde_json::to_vec(ds).unwrap_or_else(|e| {
             portopt_trace::error!("bench", "cannot serialize dataset: {e}");
             std::process::exit(2);
         });
-        if let Err(e) = Self::write_atomic(path, &bytes) {
+        if let Err(e) = write_atomic(path, &bytes) {
             portopt_trace::error!("bench", "cannot write dataset {path}: {e}");
             std::process::exit(2);
         }
@@ -646,7 +635,7 @@ impl BinArgs {
         );
         if let Ok(bytes) = serde_json::to_vec(report) {
             let path = self.report_path();
-            if let Err(e) = Self::write_atomic(&path, &bytes) {
+            if let Err(e) = write_atomic(&path, &bytes) {
                 portopt_trace::warn!("bench", "could not write {path}: {e}");
             }
         }

@@ -23,10 +23,11 @@
 //! ...
 //! ```
 //!
-//! The header is validated *before* any record is replayed — wrong magic,
-//! a future format version, or a `plan` fingerprint that does not match
-//! the current invocation's programs/options each raise their own
-//! [`JournalError`], exactly like `DiskCache`'s envelope checks. The plan
+//! The header is validated *before* any record is replayed — wrong magic
+//! or a future format version (the shared `portopt_exec::artifact`
+//! envelope check), or a `plan` fingerprint that does not match the
+//! current invocation's programs/options each raise their own
+//! [`JournalError`]. The plan
 //! fingerprint covers the program modules, both sampled axes and the
 //! profiling limits, so a journal can never leak rows into a sweep with
 //! different flags.
@@ -41,6 +42,7 @@
 //! after it. A failure to *append* during the sweep is logged and
 //! swallowed — checkpointing degrades resumability, never correctness.
 
+use portopt_exec::artifact::{ArtifactError, Format};
 use portopt_uarch::FeatureVec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -49,19 +51,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The `magic` field of every journal header; anything else is not one.
-pub const JOURNAL_MAGIC: &str = "portopt-sweep-journal";
-
-/// Current journal format version. Bump on any change to the header or
-/// record layout.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+/// The journal's header envelope, as checked by `portopt_exec::artifact`.
+/// Bump its version on any change to the header or record layout.
+pub const JOURNAL_FORMAT: Format = Format {
+    magic: "portopt-sweep-journal",
+    version: 1,
+    noun: "sweep journal",
+};
 
 /// Self-describing first line of every journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct JournalHeader {
-    /// Always [`JOURNAL_MAGIC`].
+    /// Always `JOURNAL_FORMAT.magic`.
     magic: String,
-    /// [`JOURNAL_FORMAT_VERSION`] at write time.
+    /// `JOURNAL_FORMAT.version` at write time.
     format_version: u32,
     /// Hex fingerprint of the sweep plan this journal belongs to.
     plan: String,
@@ -94,23 +97,9 @@ enum Record {
 /// Why a journal (not a record — bad records self-heal) was refused.
 #[derive(Debug)]
 pub enum JournalError {
-    /// The journal could not be read, created or truncated.
-    Io(std::io::Error),
-    /// The header line is complete but not parseable as a journal header.
-    Corrupt(String),
-    /// The header parses but its `magic` field is wrong — some other
-    /// JSON-lines file sits at the journal path.
-    NotAJournal {
-        /// The magic actually found.
-        found: String,
-    },
-    /// The journal was written by an incompatible format version.
-    VersionMismatch {
-        /// Version in the file.
-        found: u32,
-        /// Version this binary supports.
-        supported: u32,
-    },
+    /// The journal could not be read, created or truncated, its header
+    /// does not parse, or it is not a journal at this format version.
+    Artifact(ArtifactError),
     /// The journal belongs to a different sweep plan: other programs,
     /// scale, seed, space, or profiling limits. Resuming it here would
     /// splice foreign rows into this sweep, so it is refused loudly.
@@ -125,16 +114,7 @@ pub enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
-            JournalError::Corrupt(msg) => write!(f, "corrupt journal header: {msg}"),
-            JournalError::NotAJournal { found } => {
-                write!(f, "not a portopt sweep journal (magic `{found}`)")
-            }
-            JournalError::VersionMismatch { found, supported } => write!(
-                f,
-                "journal format version {found} is not supported \
-                 (this binary reads version {supported})"
-            ),
+            JournalError::Artifact(e) => e.fmt(f),
             JournalError::PlanMismatch { found, expected } => write!(
                 f,
                 "journal was written by a different sweep plan ({found}, this \
@@ -148,15 +128,15 @@ impl std::fmt::Display for JournalError {
 impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            JournalError::Io(e) => Some(e),
-            _ => None,
+            JournalError::Artifact(e) => std::error::Error::source(e),
+            JournalError::PlanMismatch { .. } => None,
         }
     }
 }
 
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
+impl From<ArtifactError> for JournalError {
+    fn from(e: ArtifactError) -> Self {
+        JournalError::Artifact(e)
     }
 }
 
@@ -207,7 +187,7 @@ impl CheckpointJournal {
         let existing = match std::fs::read(&path) {
             Ok(bytes) => Some(bytes),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(JournalError::Io(e)),
+            Err(e) => return Err(JOURNAL_FORMAT.io(e).into()),
         };
         let mut fresh = existing.is_none();
         if let Some(bytes) = existing {
@@ -216,29 +196,31 @@ impl CheckpointJournal {
             let mut good_len = 0usize;
             let mut saw_header = false;
             for line in bytes.split_inclusive(|&b| b == b'\n') {
-                if !line.ends_with(b"\n") {
-                    break; // torn tail: a record cut mid-write
-                }
+                let complete = line.ends_with(b"\n");
                 if !saw_header {
-                    match Self::parse_header(line) {
-                        Ok(header) => {
-                            Self::validate_header(&header, &plan_hex)?;
+                    match Self::check_header(line, &plan_hex) {
+                        Ok(()) if complete => {
                             saw_header = true;
                             good_len += line.len();
                             continue;
                         }
-                        // A header line that never got its newline would
-                        // have been caught above; a *complete* first line
-                        // that does not parse at all is healed like a torn
-                        // tail only if the file holds nothing else — an
-                        // empty journal from a crash at creation time.
-                        Err(e) => {
-                            if bytes.len() == line.len() {
-                                break;
-                            }
-                            return Err(e);
+                        // A first line that does not parse is healed like
+                        // a torn tail only if the file holds nothing else —
+                        // an empty journal from a crash at creation time.
+                        // A parseable header is judged on its merits even
+                        // without its newline, so a foreign artifact at the
+                        // journal path is refused, never truncated.
+                        Err(JournalError::Artifact(ArtifactError::Corrupt { .. }))
+                            if bytes.len() == line.len() =>
+                        {
+                            break
                         }
+                        Err(e) => return Err(e),
+                        Ok(()) => break,
                     }
+                }
+                if !complete {
+                    break; // torn tail: a record cut mid-write
                 }
                 match serde_json::from_slice::<Record>(line) {
                     Ok(Record::Pair { p, t, row }) => {
@@ -256,8 +238,11 @@ impl CheckpointJournal {
             }
             healed_bytes = (bytes.len() - good_len) as u64;
             if healed_bytes > 0 {
-                let f = std::fs::File::options().write(true).open(&path)?;
-                f.set_len(good_len as u64)?;
+                std::fs::File::options()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(good_len as u64))
+                    .map_err(|e| JOURNAL_FORMAT.io(e))?;
             }
             fresh = !saw_header;
         }
@@ -265,18 +250,20 @@ impl CheckpointJournal {
         let mut writer = std::fs::File::options()
             .create(true)
             .append(true)
-            .open(&path)?;
+            .open(&path)
+            .map_err(|e| JOURNAL_FORMAT.io(e))?;
         if fresh {
             let header = JournalHeader {
-                magic: JOURNAL_MAGIC.to_string(),
-                format_version: JOURNAL_FORMAT_VERSION,
+                magic: JOURNAL_FORMAT.magic.to_string(),
+                format_version: JOURNAL_FORMAT.version,
                 plan: plan_hex,
             };
-            let mut line =
-                serde_json::to_string(&header).map_err(|e| JournalError::Corrupt(e.to_string()))?;
+            let mut line = serde_json::to_string(&header).map_err(|e| JOURNAL_FORMAT.corrupt(e))?;
             line.push('\n');
-            writer.write_all(line.as_bytes())?;
-            writer.flush()?;
+            writer
+                .write_all(line.as_bytes())
+                .and_then(|()| writer.flush())
+                .map_err(|e| JOURNAL_FORMAT.io(e))?;
         }
         sp.close_with(&[
             ("resumed_pairs", pairs.len().into()),
@@ -293,26 +280,12 @@ impl CheckpointJournal {
         })
     }
 
-    fn parse_header(line: &[u8]) -> Result<JournalHeader, JournalError> {
-        serde_json::from_slice::<JournalHeader>(line)
-            .map_err(|e| JournalError::Corrupt(e.to_string()))
-    }
-
-    fn validate_header(header: &JournalHeader, plan_hex: &str) -> Result<(), JournalError> {
-        if header.magic != JOURNAL_MAGIC {
-            return Err(JournalError::NotAJournal {
-                found: header.magic.clone(),
-            });
-        }
-        if header.format_version != JOURNAL_FORMAT_VERSION {
-            return Err(JournalError::VersionMismatch {
-                found: header.format_version,
-                supported: JOURNAL_FORMAT_VERSION,
-            });
-        }
+    fn check_header(line: &[u8], plan_hex: &str) -> Result<(), JournalError> {
+        let doc = JOURNAL_FORMAT.parse(line)?;
+        let header = JournalHeader::from_value(&doc).map_err(|e| JOURNAL_FORMAT.corrupt(e))?;
         if header.plan != plan_hex {
             return Err(JournalError::PlanMismatch {
-                found: header.plan.clone(),
+                found: header.plan,
                 expected: plan_hex.to_string(),
             });
         }
@@ -524,8 +497,8 @@ mod tests {
         )
         .unwrap();
         match CheckpointJournal::open(&path, 1) {
-            Err(JournalError::VersionMismatch { found: 99, .. }) => {}
-            other => panic!("expected VersionMismatch, got {other:?}"),
+            Err(JournalError::Artifact(ArtifactError::Version { found: 99, .. })) => {}
+            other => panic!("expected Version, got {other:?}"),
         }
 
         std::fs::write(
@@ -534,8 +507,10 @@ mod tests {
         )
         .unwrap();
         match CheckpointJournal::open(&path, 1) {
-            Err(JournalError::NotAJournal { found }) => assert_eq!(found, "something-else"),
-            other => panic!("expected NotAJournal, got {other:?}"),
+            Err(JournalError::Artifact(ArtifactError::WrongMagic { found, .. })) => {
+                assert_eq!(found, "something-else")
+            }
+            other => panic!("expected WrongMagic, got {other:?}"),
         }
 
         // A complete but unparseable header in a multi-line file is not
@@ -546,7 +521,7 @@ mod tests {
         )
         .unwrap();
         match CheckpointJournal::open(&path, 1) {
-            Err(JournalError::Corrupt(_)) => {}
+            Err(JournalError::Artifact(ArtifactError::Corrupt { .. })) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
@@ -580,8 +555,11 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("different sweep plan"), "{msg}");
         assert!(msg.contains("delete the journal"), "{msg}");
-        assert!(JournalError::NotAJournal { found: "x".into() }
-            .to_string()
-            .contains("not a portopt sweep journal"));
+        assert!(JournalError::Artifact(ArtifactError::WrongMagic {
+            noun: JOURNAL_FORMAT.noun,
+            found: "x".into()
+        })
+        .to_string()
+        .contains("not a portopt sweep journal"));
     }
 }

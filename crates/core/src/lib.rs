@@ -32,7 +32,7 @@ pub mod compiler;
 pub mod dataset;
 pub mod shard;
 
-pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC};
+pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT};
 pub use compiler::{PortableCompiler, TrainOptions, GOOD_FRACTION};
 pub use dataset::{
     generate, generate_with_cache, generate_with_checkpoint, generate_with_report,

@@ -13,7 +13,8 @@
 //! Cache entries are versioned exactly like `portopt-serve` snapshots: a
 //! self-describing `meta` header (magic, cache format version, payload
 //! kind + payload version, and the entry's own key) is validated *before*
-//! the payload is decoded, and every rejection is a loud, specific
+//! the payload is decoded (magic and format version through the shared
+//! [`artifact`] envelope), and every rejection is a loud, specific
 //! [`CacheError`] — a cache written by an older IR encoding is refused,
 //! never silently reused. Callers are expected to treat a rejected entry
 //! as a miss (recompute and overwrite), so a stale or corrupted cache
@@ -22,10 +23,9 @@
 //! ## Concurrency
 //!
 //! A `DiskCache` is `Sync`: sweep workers read and write entries
-//! concurrently. Writes go to a uniquely-named temp file in the cache
-//! directory and are published with an atomic rename, so a reader never
-//! observes a half-written entry and concurrent writers of the same key
-//! simply race to publish identical bytes.
+//! concurrently. Writes are published with [`artifact::write_atomic`], so
+//! a reader never observes a half-written entry and concurrent writers of
+//! the same key simply race to publish identical bytes.
 //!
 //! ## Garbage collection
 //!
@@ -52,6 +52,7 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+use crate::artifact::{self, ArtifactError, Format};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -59,19 +60,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
-/// The `magic` field of every cache entry; anything else is not one.
-pub const CACHE_MAGIC: &str = "portopt-cache-entry";
-
-/// Current entry-envelope format version. Bump on any change to the
-/// envelope layout (the `meta`/`payload` framing itself).
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// The cache-entry envelope, as checked by [`artifact`]. Bump its version
+/// on any change to the envelope layout (the `meta`/`payload` framing
+/// itself).
+pub const CACHE_FORMAT: Format = Format {
+    magic: "portopt-cache-entry",
+    version: 1,
+    noun: "cache entry",
+};
 
 /// Self-describing header written before every payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct EntryMeta {
-    /// Always [`CACHE_MAGIC`].
+    /// Always `CACHE_FORMAT.magic`.
     magic: String,
-    /// Envelope version ([`CACHE_FORMAT_VERSION`] at write time).
+    /// Envelope version (`CACHE_FORMAT.version` at write time).
     format_version: u32,
     /// What the payload is (caller-chosen namespace, e.g. `exec-profile`).
     kind: String,
@@ -98,23 +101,9 @@ pub struct CacheStats {
 /// Why a cache entry (or the cache directory) was refused.
 #[derive(Debug)]
 pub enum CacheError {
-    /// The entry or directory could not be read or written.
-    Io(std::io::Error),
-    /// The entry file is not parseable as a cache entry at all.
-    Corrupt(String),
-    /// The file parses but its `magic` field is wrong — some other JSON
-    /// document landed in the cache directory.
-    NotACacheEntry {
-        /// The magic actually found.
-        found: String,
-    },
-    /// The entry was written by an incompatible envelope format version.
-    VersionMismatch {
-        /// Version in the file.
-        found: u32,
-        /// Version this binary supports.
-        supported: u32,
-    },
+    /// The entry or directory could not be read or written, does not
+    /// parse, or is not a cache entry at this format version.
+    Artifact(ArtifactError),
     /// The entry holds a different payload kind than this cache serves.
     KindMismatch {
         /// Kind in the file.
@@ -142,16 +131,7 @@ pub enum CacheError {
 impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CacheError::Io(e) => write!(f, "cache i/o error: {e}"),
-            CacheError::Corrupt(msg) => write!(f, "corrupt cache entry: {msg}"),
-            CacheError::NotACacheEntry { found } => {
-                write!(f, "not a portopt cache entry (magic `{found}`)")
-            }
-            CacheError::VersionMismatch { found, supported } => write!(
-                f,
-                "cache entry format version {found} is not supported \
-                 (this binary reads version {supported})"
-            ),
+            CacheError::Artifact(e) => e.fmt(f),
             CacheError::KindMismatch { found, expected } => {
                 write!(f, "cache entry holds `{found}`, expected `{expected}`")
             }
@@ -172,15 +152,15 @@ impl std::fmt::Display for CacheError {
 impl std::error::Error for CacheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CacheError::Io(e) => Some(e),
+            CacheError::Artifact(e) => std::error::Error::source(e),
             _ => None,
         }
     }
 }
 
-impl From<std::io::Error> for CacheError {
-    fn from(e: std::io::Error) -> Self {
-        CacheError::Io(e)
+impl From<ArtifactError> for CacheError {
+    fn from(e: ArtifactError) -> Self {
+        CacheError::Artifact(e)
     }
 }
 
@@ -195,7 +175,6 @@ pub struct DiskCache {
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
-    tmp_seq: AtomicU64,
     /// Keys this handle wrote or served as hits: the current run's working
     /// set, which [`DiskCache::gc`] must never evict.
     touched: Mutex<HashSet<u64>>,
@@ -210,7 +189,7 @@ impl DiskCache {
         payload_version: u32,
     ) -> Result<Self, CacheError> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(&dir).map_err(|e| CACHE_FORMAT.io(e))?;
         Ok(DiskCache {
             dir,
             kind: kind.into(),
@@ -218,7 +197,6 @@ impl DiskCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
             touched: Mutex::new(HashSet::new()),
         })
     }
@@ -267,25 +245,15 @@ impl DiskCache {
         let bytes = match std::fs::read(self.entry_path(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CacheError::Io(e)),
+            Err(e) => return Err(CACHE_FORMAT.io(e).into()),
         };
         // Header first, payload second — a stale entry is rejected with
         // its precise mismatch before the (much larger) payload is decoded.
-        let doc: serde::Value =
-            serde_json::from_slice(&bytes).map_err(|e| CacheError::Corrupt(e.to_string()))?;
+        let doc = CACHE_FORMAT.parse(&bytes)?;
         let meta = doc
             .field("meta")
             .and_then(EntryMeta::from_value)
-            .map_err(|e| CacheError::Corrupt(e.to_string()))?;
-        if meta.magic != CACHE_MAGIC {
-            return Err(CacheError::NotACacheEntry { found: meta.magic });
-        }
-        if meta.format_version != CACHE_FORMAT_VERSION {
-            return Err(CacheError::VersionMismatch {
-                found: meta.format_version,
-                supported: CACHE_FORMAT_VERSION,
-            });
-        }
+            .map_err(|e| CACHE_FORMAT.corrupt(e))?;
         if meta.kind != self.kind {
             return Err(CacheError::KindMismatch {
                 found: meta.kind,
@@ -308,7 +276,7 @@ impl DiskCache {
         let payload = doc
             .field("payload")
             .and_then(T::from_value)
-            .map_err(|e| CacheError::Corrupt(e.to_string()))?;
+            .map_err(|e| CACHE_FORMAT.corrupt(e))?;
         Ok(Some(payload))
     }
 
@@ -317,8 +285,8 @@ impl DiskCache {
     /// partial file.
     pub fn put<T: Serialize>(&self, key: u64, payload: &T) -> Result<(), CacheError> {
         let meta = EntryMeta {
-            magic: CACHE_MAGIC.to_string(),
-            format_version: CACHE_FORMAT_VERSION,
+            magic: CACHE_FORMAT.magic.to_string(),
+            format_version: CACHE_FORMAT.version,
             kind: self.kind.clone(),
             payload_version: self.payload_version,
             key: format!("{key:016x}"),
@@ -327,24 +295,10 @@ impl DiskCache {
             ("meta".to_string(), meta.to_value()),
             ("payload".to_string(), payload.to_value()),
         ]);
-        let bytes = serde_json::to_vec(&doc).map_err(|e| CacheError::Corrupt(e.to_string()))?;
-        // Unique temp name per (process, write): renames within a
-        // directory are atomic, so the entry appears fully-formed.
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".{key:016x}.{}.{seq}.tmp", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        match std::fs::rename(&tmp, self.entry_path(key)) {
-            Ok(()) => {
-                self.touch(key);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(CacheError::Io(e))
-            }
-        }
+        let bytes = serde_json::to_vec(&doc).map_err(|e| CACHE_FORMAT.corrupt(e))?;
+        artifact::write_atomic(self.entry_path(key), &bytes).map_err(|e| CACHE_FORMAT.io(e))?;
+        self.touch(key);
+        Ok(())
     }
 
     fn touch(&self, key: u64) {
@@ -364,8 +318,8 @@ impl DiskCache {
     /// GC) are skipped too.
     pub fn entries(&self) -> Result<Vec<CacheEntryInfo>, CacheError> {
         let mut out = Vec::new();
-        for dirent in std::fs::read_dir(&self.dir)? {
-            let dirent = dirent?;
+        for dirent in std::fs::read_dir(&self.dir).map_err(|e| CACHE_FORMAT.io(e))? {
+            let dirent = dirent.map_err(|e| CACHE_FORMAT.io(e))?;
             let name = dirent.file_name();
             let Some(key) = entry_key_of(&name.to_string_lossy()) else {
                 continue;
@@ -557,7 +511,7 @@ mod tests {
         let cache = DiskCache::open(&dir, "test-payload", 1).unwrap();
         std::fs::write(cache.entry_path(7), b"{ not json").unwrap();
         match cache.get::<u32>(7) {
-            Err(CacheError::Corrupt(_)) => {}
+            Err(CacheError::Artifact(ArtifactError::Corrupt { .. })) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert_eq!(cache.stats().rejected, 1);
@@ -577,8 +531,10 @@ mod tests {
         )
         .unwrap();
         match cache.get::<u32>(9) {
-            Err(CacheError::NotACacheEntry { found }) => assert_eq!(found, "something-else"),
-            other => panic!("expected NotACacheEntry, got {other:?}"),
+            Err(CacheError::Artifact(ArtifactError::WrongMagic { found, .. })) => {
+                assert_eq!(found, "something-else")
+            }
+            other => panic!("expected WrongMagic, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -616,11 +572,12 @@ mod tests {
         )
         .unwrap();
         match writer.get::<u32>(2) {
-            Err(CacheError::VersionMismatch {
+            Err(CacheError::Artifact(ArtifactError::Version {
                 found: 99,
-                supported: CACHE_FORMAT_VERSION,
-            }) => {}
-            other => panic!("expected VersionMismatch, got {other:?}"),
+                supported,
+                ..
+            })) => assert_eq!(supported, CACHE_FORMAT.version),
+            other => panic!("expected Version, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod cache;
 pub mod queue;
 

@@ -251,7 +251,7 @@ pub struct KnnModel {
 // Hand-written (not derived) so `matrix` stays out of the wire format:
 // the encoding is byte-identical to what the derive produced before the
 // matrix existed — an object of {normalizer, points, k, beta} in
-// declaration order — so snapshot FORMAT_VERSION is unchanged and old
+// declaration order — so the snapshot format version is unchanged and old
 // snapshots load as-is. (The derive shim has no `#[serde(skip)]`.)
 impl Serialize for KnnModel {
     fn to_value(&self) -> Value {

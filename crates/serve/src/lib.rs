@@ -56,14 +56,13 @@ pub use service::{
     ApplyStats, ConnId, LineAction, PredictionService, RequestInput, ServeRequest, ServeResponse,
     ServiceStats, DEFAULT_BATCH, LOCAL_CONN,
 };
-pub use snapshot::{
-    current_pass_space, Snapshot, SnapshotError, SnapshotMeta, FORMAT_VERSION, SNAPSHOT_MAGIC,
-};
+pub use snapshot::{current_pass_space, Snapshot, SnapshotError, SnapshotMeta, SNAPSHOT_FORMAT};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use portopt_core::{generate, Dataset, GenOptions, SweepScale, TrainOptions};
+    use portopt_exec::artifact::ArtifactError;
     use portopt_ir::{FuncBuilder, Module, ModuleBuilder};
     use portopt_passes::OptSpace;
     use portopt_uarch::MicroArch;
@@ -138,10 +137,44 @@ mod tests {
     }
 
     #[test]
+    fn save_is_atomic_under_a_concurrent_loader() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let ds = tiny_dataset();
+        let k3 = TrainOptions {
+            k: 3,
+            ..TrainOptions::default()
+        };
+        let snaps = [tiny_snapshot(), Snapshot::train(&ds, &k3)];
+        let dir = std::env::temp_dir().join(format!("portopt-serve-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.snap");
+        snaps[0].save(&path).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    Snapshot::load(&path).expect("a load never sees a torn file");
+                }
+            });
+            for i in 0..20 {
+                snaps[i % 2].save(&path).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["model.snap"], "no .tmp left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn snapshot_meta_describes_the_model() {
         let snap = tiny_snapshot();
-        assert_eq!(snap.meta.magic, SNAPSHOT_MAGIC);
-        assert_eq!(snap.meta.format_version, FORMAT_VERSION);
+        assert_eq!(snap.meta.magic, SNAPSHOT_FORMAT.magic);
+        assert_eq!(snap.meta.format_version, SNAPSHOT_FORMAT.version);
         assert_eq!(snap.meta.feature_dim, portopt_uarch::N_FEATURES);
         assert_eq!(snap.meta.pass_space.len(), OptSpace::n_dims());
         assert_eq!(snap.meta.programs, 3);
@@ -155,33 +188,40 @@ mod tests {
         // Truncated file: corrupt.
         let bytes = snap.to_bytes().unwrap();
         let err = Snapshot::from_bytes(&bytes[..bytes.len() / 2]).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Artifact(ArtifactError::Corrupt { .. })),
+            "{err}"
+        );
         // Not JSON at all.
         assert!(matches!(
             Snapshot::from_bytes(b"\x00\x01binary junk").unwrap_err(),
-            SnapshotError::Corrupt(_)
+            SnapshotError::Artifact(ArtifactError::Corrupt { .. })
         ));
         // Some other JSON document.
         assert!(matches!(
             Snapshot::from_bytes(b"{\"hello\": 1}").unwrap_err(),
-            SnapshotError::Corrupt(_)
+            SnapshotError::Artifact(ArtifactError::Corrupt { .. })
         ));
         // Wrong magic.
         let mut other = snap.clone();
         other.meta.magic = "something-else".into();
         match Snapshot::from_bytes(&other.to_bytes().unwrap()).unwrap_err() {
-            SnapshotError::NotASnapshot { found } => assert_eq!(found, "something-else"),
-            e => panic!("expected NotASnapshot, got {e}"),
+            SnapshotError::Artifact(ArtifactError::WrongMagic { found, .. }) => {
+                assert_eq!(found, "something-else")
+            }
+            e => panic!("expected WrongMagic, got {e}"),
         }
         // Future format version.
         let mut newer = snap.clone();
-        newer.meta.format_version = FORMAT_VERSION + 1;
+        newer.meta.format_version = SNAPSHOT_FORMAT.version + 1;
         match Snapshot::from_bytes(&newer.to_bytes().unwrap()).unwrap_err() {
-            SnapshotError::VersionMismatch { found, supported } => {
-                assert_eq!(found, FORMAT_VERSION + 1);
-                assert_eq!(supported, FORMAT_VERSION);
+            SnapshotError::Artifact(ArtifactError::Version {
+                found, supported, ..
+            }) => {
+                assert_eq!(found, SNAPSHOT_FORMAT.version + 1);
+                assert_eq!(supported, SNAPSHOT_FORMAT.version);
             }
-            e => panic!("expected VersionMismatch, got {e}"),
+            e => panic!("expected Version, got {e}"),
         }
         // A pass space with one dimension renamed.
         let mut wrong_space = snap.clone();
@@ -213,7 +253,7 @@ mod tests {
         // Missing file.
         assert!(matches!(
             Snapshot::load("/nonexistent/portopt.snap").unwrap_err(),
-            SnapshotError::Io(_)
+            SnapshotError::Artifact(ArtifactError::Io { .. })
         ));
     }
 
@@ -377,7 +417,11 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(snap, 2);
-            service.run_tcp(listener, 4).unwrap()
+            let opts = ServeOptions {
+                batch: 4,
+                ..Default::default()
+            };
+            service.run_concurrent(listener, &opts).unwrap()
         });
 
         // First connection: two requests closed by EOF — the second
@@ -426,7 +470,11 @@ mod tests {
             let service = PredictionService::new(snap, 1);
             // batch is far larger than what the client sends: only the
             // idle flush can answer it.
-            service.run_tcp(listener, 1000).unwrap()
+            let opts = ServeOptions {
+                batch: 1000,
+                ..Default::default()
+            };
+            service.run_concurrent(listener, &opts).unwrap()
         });
         {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -537,7 +585,11 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(snap, 1);
-            service.run_tcp(listener, 64).unwrap()
+            let opts = ServeOptions {
+                batch: 64,
+                ..Default::default()
+            };
+            service.run_concurrent(listener, &opts).unwrap()
         });
         {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -730,7 +782,11 @@ mod tests {
         let server = std::thread::spawn(move || {
             let service = PredictionService::new(Snapshot::load(&path_for_server).unwrap(), 1)
                 .with_reload_path(&path_for_server);
-            service.run_tcp(listener, 8).unwrap()
+            let opts = ServeOptions {
+                batch: 8,
+                ..Default::default()
+            };
+            service.run_concurrent(listener, &opts).unwrap()
         });
 
         let mut stream = TcpStream::connect(addr).unwrap();

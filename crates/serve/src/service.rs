@@ -3,9 +3,9 @@
 //! A JSON-lines protocol over any line-oriented byte stream: each request
 //! is one JSON object, each reply is one JSON object, in request order.
 //! [`PredictionService::run_lines`] drives a `BufRead`/`Write` pair (stdin
-//! /stdout for piping and tests); [`PredictionService::run_tcp`] serves
-//! the same protocol over `std::net::TcpListener`, concurrently for many
-//! clients (see [`crate::concurrent`]). The complete wire-protocol
+//! /stdout for piping and tests); [`PredictionService::run_concurrent`]
+//! serves the same protocol over `std::net::TcpListener`, concurrently for
+//! many clients (see [`crate::concurrent`]). The complete wire-protocol
 //! reference lives in `docs/SERVING.md`.
 //!
 //! Requests accumulate in a [`ServiceQueue`] and are drained as batches
@@ -94,7 +94,6 @@ use portopt_sim::{evaluate, profile};
 use portopt_uarch::MicroArch;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, Write};
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -844,13 +843,6 @@ impl PredictionService {
         )
     }
 
-    /// Parses one request line from connection `conn` and enqueues it
-    /// (the multi-connection variant of [`submit_line`](Self::submit_line),
-    /// used by the concurrent TCP front end).
-    pub fn submit_line_for(&self, conn: ConnId, line: &str) -> LineAction {
-        self.classify_and_submit(conn, line)
-    }
-
     /// Number of requests waiting for the next batch drain.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -1059,25 +1051,6 @@ impl PredictionService {
         let replies = self.drain(stats);
         self.write_replies(&replies, &mut writer)?;
         Ok(false)
-    }
-
-    /// Serves connections off a TCP listener **concurrently** with the
-    /// line protocol of [`run_lines`](Self::run_lines): a threaded accept
-    /// loop (default connection bound), a cross-connection batching window
-    /// that answers lone requests within a few milliseconds, and per-
-    /// connection reply routing. A `{"shutdown": true}` request from any
-    /// client flushes pending replies and stops the listener; the
-    /// accumulated stats are returned. This is
-    /// [`run_concurrent`](Self::run_concurrent) with default
-    /// [`ServeOptions`](crate::ServeOptions) except for the batch size.
-    pub fn run_tcp(&self, listener: TcpListener, batch: usize) -> std::io::Result<ServiceStats> {
-        self.run_concurrent(
-            listener,
-            &crate::concurrent::ServeOptions {
-                batch,
-                ..Default::default()
-            },
-        )
     }
 }
 

@@ -10,8 +10,11 @@
 //!
 //! The format is the workspace's JSON (via the serde shims), one object:
 //! `{"meta": {...}, "compiler": {...}}`. The `meta` header is parsed and
-//! validated *before* the model payload, so a mismatched snapshot fails
-//! with a precise reason instead of a deep deserialization error.
+//! validated *before* the model payload — magic and format version by the
+//! shared `portopt_exec::artifact` envelope — so a mismatched snapshot
+//! fails with a precise reason instead of a deep deserialization error.
+//! [`Snapshot::save`] publishes atomically (temp file, then `rename`), so a
+//! server loading or hot-reloading the path never reads a torn file.
 //!
 //! Train once, serialize, reload, predict — the whole deployment cycle:
 //!
@@ -47,16 +50,19 @@
 //! ```
 
 use portopt_core::{Dataset, ModelKind, PortableCompiler, TrainOptions};
+use portopt_exec::artifact::{self, ArtifactError, Format};
 use portopt_passes::OptSpace;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// First bytes of the `magic` field of every portopt snapshot.
-pub const SNAPSHOT_MAGIC: &str = "portopt-snapshot";
-
-/// Current snapshot format version. Bump on any change to the serialized
-/// layout of [`Snapshot`] or the model types it embeds.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot envelope, as checked by `portopt_exec::artifact`. Bump
+/// its version on any change to the serialized layout of [`Snapshot`] or
+/// the model types it embeds.
+pub const SNAPSHOT_FORMAT: Format = Format {
+    magic: "portopt-snapshot",
+    version: 1,
+    noun: "snapshot",
+};
 
 /// The current pass space as `(dimension name, cardinality)` pairs — the
 /// fingerprint stored in a snapshot and checked at load time.
@@ -70,9 +76,9 @@ pub fn current_pass_space() -> Vec<(String, usize)> {
 /// Self-describing header of a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotMeta {
-    /// Always [`SNAPSHOT_MAGIC`]; anything else is not a snapshot.
+    /// Always `SNAPSHOT_FORMAT.magic`; anything else is not a snapshot.
     pub magic: String,
-    /// Serialized-layout version ([`FORMAT_VERSION`] at write time).
+    /// Serialized-layout version (`SNAPSHOT_FORMAT.version` at write time).
     pub format_version: u32,
     /// Feature-vector dimensionality the model was trained on.
     pub feature_dim: usize,
@@ -150,23 +156,9 @@ pub struct Snapshot {
 /// Why a snapshot could not be written or loaded.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The file is not parseable as a snapshot at all.
-    Corrupt(String),
-    /// The file parses but its `magic` field is wrong — it is some other
-    /// JSON document.
-    NotASnapshot {
-        /// The magic actually found.
-        found: String,
-    },
-    /// The snapshot was written by an incompatible format version.
-    VersionMismatch {
-        /// Version in the file.
-        found: u32,
-        /// Version this binary supports.
-        supported: u32,
-    },
+    /// The file could not be read or written, does not parse, or is not
+    /// a snapshot at this format version.
+    Artifact(ArtifactError),
     /// The snapshot's model was trained over a different optimisation
     /// space than this binary compiles with.
     PassSpaceMismatch {
@@ -200,16 +192,10 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
-            SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
-            SnapshotError::NotASnapshot { found } => {
-                write!(f, "not a portopt snapshot (magic `{found}`)")
+            SnapshotError::Artifact(e @ ArtifactError::Version { .. }) => {
+                write!(f, "{e}; re-run `snapshot` to retrain")
             }
-            SnapshotError::VersionMismatch { found, supported } => write!(
-                f,
-                "snapshot format version {found} is not supported \
-                 (this binary reads version {supported}); re-run `snapshot` to retrain"
-            ),
+            SnapshotError::Artifact(e) => e.fmt(f),
             SnapshotError::PassSpaceMismatch { detail } => write!(
                 f,
                 "snapshot was trained over a different optimisation space: {detail}; \
@@ -237,15 +223,15 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SnapshotError::Io(e) => Some(e),
+            SnapshotError::Artifact(e) => std::error::Error::source(e),
             _ => None,
         }
     }
 }
 
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
+impl From<ArtifactError> for SnapshotError {
+    fn from(e: ArtifactError) -> Self {
+        SnapshotError::Artifact(e)
     }
 }
 
@@ -303,8 +289,8 @@ impl Snapshot {
         let compiler = PortableCompiler::try_train_kind(ds, None, None, kind, opts)?;
         Ok(Snapshot {
             meta: SnapshotMeta {
-                magic: SNAPSHOT_MAGIC.to_string(),
-                format_version: FORMAT_VERSION,
+                magic: SNAPSHOT_FORMAT.magic.to_string(),
+                format_version: SNAPSHOT_FORMAT.version,
                 feature_dim: compiler.model().feature_dim(),
                 pass_space: current_pass_space(),
                 programs: ds.n_programs(),
@@ -321,19 +307,21 @@ impl Snapshot {
     /// Serializes the snapshot to bytes (the exact bytes [`Snapshot::save`]
     /// writes).
     pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        serde_json::to_vec(self).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+        Ok(serde_json::to_vec(self).map_err(|e| SNAPSHOT_FORMAT.corrupt(e))?)
     }
 
-    /// Writes the snapshot to `path`.
+    /// Publishes the snapshot at `path` atomically
+    /// ([`artifact::write_atomic`]): a concurrent loader sees the old file
+    /// or the new one, and a crash mid-save leaves the old one in place.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes()?)?;
+        artifact::write_atomic(path, &self.to_bytes()?).map_err(|e| SNAPSHOT_FORMAT.io(e))?;
         Ok(())
     }
 
     /// Parses and validates a snapshot from bytes. The header is checked
-    /// (magic, format version, pass space, feature dimensionality, model
-    /// kind) before the model payload is deserialized, so every rejection
-    /// carries the specific mismatch.
+    /// (magic and format version, then model kind, pass space and feature
+    /// dimensionality) before the model payload is deserialized, so every
+    /// rejection carries the specific mismatch.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         Self::from_bytes_checked(bytes, None)
     }
@@ -354,11 +342,8 @@ impl Snapshot {
         // tree before the (much larger) model payload is decoded, so a
         // mismatched file is rejected with its specific reason and a
         // multi-megabyte artifact is not lexed twice.
-        let doc: serde::Value =
-            serde_json::from_slice(bytes).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        let raw_meta = doc
-            .field("meta")
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+        let doc = SNAPSHOT_FORMAT.parse(bytes)?;
+        let raw_meta = doc.field("meta").map_err(|e| SNAPSHOT_FORMAT.corrupt(e))?;
         // Probe the kind tag before the header decode proper: a tag from a
         // newer zoo must surface as `UnknownModelKind`, not `Corrupt`.
         if let Ok(tag) = raw_meta.field("model_kind") {
@@ -370,17 +355,7 @@ impl Snapshot {
                 return Err(SnapshotError::UnknownModelKind { found });
             }
         }
-        let meta = SnapshotMeta::from_value(raw_meta)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        if meta.magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::NotASnapshot { found: meta.magic });
-        }
-        if meta.format_version != FORMAT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                found: meta.format_version,
-                supported: FORMAT_VERSION,
-            });
-        }
+        let meta = SnapshotMeta::from_value(raw_meta).map_err(|e| SNAPSHOT_FORMAT.corrupt(e))?;
         if let Some(expected) = expected_kind {
             if meta.model_kind != expected {
                 return Err(SnapshotError::ModelKindMismatch {
@@ -399,7 +374,7 @@ impl Snapshot {
                 expected,
             });
         }
-        let snap = Snapshot::from_value(&doc).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+        let snap = Snapshot::from_value(&doc).map_err(|e| SNAPSHOT_FORMAT.corrupt(e))?;
         // The header said the right thing; make sure the payload agrees
         // (a hand-edited file could pair a valid header with a stale model).
         let payload_kind = snap.compiler.model().kind();
@@ -421,7 +396,7 @@ impl Snapshot {
 
     /// Loads and validates a snapshot from `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Self::from_bytes(&std::fs::read(path)?)
+        Self::from_bytes(&std::fs::read(path).map_err(|e| SNAPSHOT_FORMAT.io(e))?)
     }
 
     /// [`load`](Self::load), refusing any snapshot whose header does not
@@ -430,6 +405,7 @@ impl Snapshot {
         path: impl AsRef<Path>,
         expected: ModelKind,
     ) -> Result<Self, SnapshotError> {
-        Self::from_bytes_expecting(&std::fs::read(path)?, expected)
+        let bytes = std::fs::read(path).map_err(|e| SNAPSHOT_FORMAT.io(e))?;
+        Self::from_bytes_expecting(&bytes, expected)
     }
 }

@@ -8,8 +8,9 @@
 //! pricing in a span, the bench bins route their progress chatter
 //! through the leveled macros — so it must never pull another crate
 //! (not even a shim) into the leaf position of the dependency graph.
-//! It hand-rolls the small JSON subset it needs in [`write`]-side
-//! emission and the [`read`] module's parser.
+//! It hand-rolls the small JSON subset it needs to emit records; the
+//! reader lives with its one consumer, the `trace` bin
+//! (`portopt_bench::read`), which parses with the `serde_json` shim.
 //!
 //! ## Model
 //!
@@ -55,8 +56,6 @@
 //! `start_unix_ms` for coarse correlation with the outside world.
 
 #![warn(missing_docs)]
-
-pub mod read;
 
 use std::cell::RefCell;
 use std::fmt;
@@ -710,16 +709,6 @@ fn push_fields(out: &mut String, fields: &[(&str, FieldValue)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::{read_trace, TraceRecord};
-
-    /// Held by every test that opens spans: the global sink records the
-    /// spans of the whole process, so they must not overlap the test that
-    /// counts what it sinked.
-    static SPANS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn exclusive_spans() -> std::sync::MutexGuard<'static, ()> {
-        SPANS.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn level_parse_and_order() {
@@ -788,85 +777,8 @@ mod tests {
         assert_eq!(FieldValue::from(1.5f64), FieldValue::F64(1.5));
     }
 
-    /// End-to-end through the real global sink: init → events + spans →
-    /// finish → parse back with the `read` module. This is the one test
-    /// that touches the global sink (tests share a process).
-    #[test]
-    fn global_sink_round_trip() {
-        let _spans = exclusive_spans();
-        let dir = std::env::temp_dir().join(format!("portopt-trace-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.trace");
-
-        init(Level::Info, Some(&path)).unwrap();
-        assert!(sink_on());
-        // Final name must not exist until finish(): atomic publication.
-        assert!(!path.exists());
-
-        info!("test", { pairs = 3usize }, "hello {}", "world");
-        debug!("test", "below the stderr filter but still sinked");
-        {
-            let g = span("test", "outer", &[("p", 1usize.into())]);
-            assert!(g.id() > 0);
-            let inner = span("test", "inner", &[]);
-            inner.close_with(&[("hit", true.into())]);
-        }
-        let detached = Span::begin("test", "lease", &[("shard", 2usize.into())]);
-        std::thread::spawn(move || detached.end()).join().unwrap();
-
-        let published = finish().unwrap().expect("sink was open");
-        assert_eq!(published, path);
-        assert!(!sink_on());
-        assert!(finish().unwrap().is_none(), "finish is idempotent");
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tf = read_trace(&text).unwrap();
-        assert_eq!(tf.header.format_version, TRACE_FORMAT_VERSION);
-
-        let mut events = 0;
-        let mut opens = std::collections::HashMap::new();
-        let mut closes = 0;
-        let mut inner_parent = None;
-        for r in &tf.records {
-            match r {
-                TraceRecord::Event { msg, .. } => {
-                    events += 1;
-                    if msg.contains("hello") {
-                        assert!(msg.contains("world"));
-                    }
-                }
-                TraceRecord::SpanOpen {
-                    id, parent, name, ..
-                } => {
-                    opens.insert(*id, name.clone());
-                    if name == "inner" {
-                        inner_parent = Some(*parent);
-                    }
-                }
-                TraceRecord::SpanClose { id, .. } => {
-                    closes += 1;
-                    assert!(opens.contains_key(id), "close matches an open");
-                }
-            }
-        }
-        assert!(events >= 2, "info and debug events both sinked");
-        assert_eq!(opens.len(), 3);
-        assert_eq!(closes, 3);
-        // The RAII stack parented inner under outer.
-        let outer_id = opens
-            .iter()
-            .find(|(_, n)| n.as_str() == "outer")
-            .map(|(id, _)| *id)
-            .unwrap();
-        assert_eq!(inner_parent, Some(Some(outer_id)));
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn span_ids_are_unique_across_threads() {
-        let _spans = exclusive_spans();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
