@@ -104,7 +104,7 @@ fn bench_model(c: &mut Criterion) {
 
 fn bench_sweep(c: &mut Criterion) {
     // The smoke-scale per-program sweep (6 uarchs × 40 settings) through
-    // the work-stealing executor — the unit of dataset-generation
+    // the executor — the unit of dataset-generation
     // throughput that `BENCH_*.json` tracks across PRs.
     let p = by_name("crc", Workload::default()).unwrap();
     let scale = SweepScale::smoke();

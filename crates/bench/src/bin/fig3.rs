@@ -4,7 +4,7 @@ use portopt_passes::OptSpace;
 fn main() {
     let dims = OptSpace::dims();
     println!("Figure 3: {} optimisation dimensions", dims.len());
-    for d in &dims {
+    for d in dims {
         println!("  {:<30} {} values", d.name, d.cardinality);
     }
     let (flags, total) = OptSpace::combination_counts();

@@ -678,7 +678,7 @@ impl BinArgs {
         let loo = run_loo(&ds, &modules, self.threads);
         if !self.no_cache {
             if let Ok(bytes) = serde_json::to_vec(&loo) {
-                let _ = std::fs::write(&cache, bytes);
+                let _ = write_atomic(&cache, &bytes);
             }
         }
         (ds, loo, modules)

@@ -2,8 +2,7 @@
 //! compile any new program for any new microarchitecture using one `-O3`
 //! profiling run.
 
-use crate::dataset::Dataset;
-use portopt_ir::interp::ExecLimits;
+use crate::dataset::{Dataset, PROFILE_LIMITS};
 use portopt_ir::Module;
 use portopt_ml::{
     IidDistribution, KnnModel, Model, ModelKind, ModelOptions, TrainError, DEFAULT_BETA, DEFAULT_K,
@@ -221,12 +220,8 @@ impl PortableCompiler {
         module: &Module,
         target: &MicroArch,
     ) -> (CodeImage, OptConfig, TimingResult) {
-        let limits = ExecLimits {
-            fuel: 100_000_000,
-            max_depth: 2048,
-        };
         let img3 = compile(module, &OptConfig::o3());
-        let prof3 = profile(&img3, module, &[], limits).expect("O3 run");
+        let prof3 = profile(&img3, module, &[], PROFILE_LIMITS).expect("O3 run");
         let t3 = evaluate(&img3, &prof3, target);
         let cfg = self.predict_from_counters(&t3.counters, target);
         (compile(module, &cfg), cfg, t3)
@@ -250,6 +245,7 @@ impl PortableCompiler {
 mod tests {
     use super::*;
     use crate::dataset::{generate, GenOptions, SweepScale};
+    use portopt_ir::interp::ExecLimits;
     use portopt_ir::{FuncBuilder, ModuleBuilder};
 
     fn program(name: &str, mem_heavy: bool) -> (String, Module) {

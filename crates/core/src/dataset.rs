@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Scale of a sweep (paper scale: 35 programs × 200 μarchs × 1000 settings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -357,7 +357,10 @@ pub struct SweepReport {
     pub settings_per_sec: f64,
 }
 
-const PROFILE_LIMITS: ExecLimits = ExecLimits {
+/// Interpreter limits of every profiling run — the training sweep's and
+/// the serving path's alike, so a client module is profiled exactly as
+/// the training programs were. Part of the profile cache key.
+pub const PROFILE_LIMITS: ExecLimits = ExecLimits {
     fuel: 100_000_000,
     max_depth: 2048,
 };
@@ -399,8 +402,10 @@ type ProgramSweep = (Vec<Vec<f64>>, Vec<f64>, Vec<FeatureVec>);
 
 /// Per-program cache of evaluation rows, keyed by compiled-image
 /// fingerprint: distinct settings that lower a program to the same machine
-/// code share one profiling run (the expensive step).
-type ProfileCache = Mutex<HashMap<u64, Arc<Vec<f64>>>>;
+/// code share one profiling run (the expensive step). Each fingerprint owns
+/// a once-cell, so a worker meeting a binary that another worker is still
+/// pricing waits for that row instead of profiling the binary again.
+type ProfileCache = Mutex<HashMap<u64, Arc<OnceLock<Arc<Vec<f64>>>>>>;
 
 /// The persistent cache key for one profiling run: everything the
 /// profile is a function of. The image fingerprint alone is *not* enough
@@ -517,8 +522,9 @@ fn price_image_with(
 /// and prices it on every configuration. Pure in `(module, cfg, uarchs)`
 /// — both caches only short-circuit recomputation, which is what keeps
 /// the sweep deterministic under any scheduling. The returned flag says
-/// whether the row came from the in-memory fingerprint cache (another
-/// setting lowered to an identical binary) — pricing-span attribution.
+/// whether the row came from the in-memory fingerprint cache (this call
+/// did not price it: another setting lowered to an identical binary) —
+/// pricing-span attribution.
 fn eval_setting(
     module: &Module,
     uarchs: &[MicroArch],
@@ -527,18 +533,18 @@ fn eval_setting(
     disk: Option<&DiskCache>,
 ) -> (Arc<Vec<f64>>, bool) {
     let img = compile(module, cfg);
-    let fp = img.fingerprint();
-    if let Some(hit) = cache.lock().expect("profile cache").get(&fp) {
-        return (hit.clone(), true);
-    }
-    let row = Arc::new(price_image_with(&img, module, uarchs, disk));
-    let row = cache
+    let cell = cache
         .lock()
         .expect("profile cache")
-        .entry(fp)
-        .or_insert_with(|| row.clone())
+        .entry(img.fingerprint())
+        .or_default()
         .clone();
-    (row, false)
+    let mut shared = true;
+    let row = cell.get_or_init(|| {
+        shared = false;
+        Arc::new(price_image_with(&img, module, uarchs, disk))
+    });
+    (row.clone(), shared)
 }
 
 /// `-O3` baseline for one program: cycles + counter features per
@@ -1186,6 +1192,38 @@ mod tests {
         let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
         assert_eq!(bytes(&cold), bytes(&baseline));
         assert_eq!(bytes(&warm), bytes(&baseline));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_equal_binaries_are_profiled_once() {
+        // Eight workers meet the same binary at the same instant: one of
+        // them profiles it (one disk-cache lookup), the rest wait for its
+        // row instead of profiling it again.
+        let dir = cache_scratch_dir("concurrent");
+        let module = portopt_mibench::by_name("crc", portopt_mibench::Workload::default())
+            .unwrap()
+            .module;
+        let uarchs = [portopt_uarch::MicroArch::xscale()];
+        let cfg = OptConfig::o3();
+        let cache: ProfileCache = Mutex::new(HashMap::new());
+        let disk = open_profile_cache(&dir).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let rows: Vec<(Arc<Vec<f64>>, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        eval_setting(&module, &uarchs, &cfg, &cache, Some(&disk))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let stats = disk.stats();
+        assert_eq!(stats.hits + stats.misses, 1, "{stats:?}");
+        assert!(rows.iter().all(|(row, _)| row == &rows[0].0));
+        assert_eq!(rows.iter().filter(|(_, shared)| !shared).count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

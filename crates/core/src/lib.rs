@@ -38,7 +38,7 @@ pub use dataset::{
     generate, generate_with_cache, generate_with_checkpoint, generate_with_report,
     generate_with_uarchs, open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program,
     CachedProfile, Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
-    PROFILE_CACHE_PAYLOAD_VERSION,
+    PROFILE_CACHE_PAYLOAD_VERSION, PROFILE_LIMITS,
 };
 pub use portopt_ml::{Model, ModelKind, ModelOptions};
 pub use shard::{ShardError, ShardSpec};

@@ -1,6 +1,6 @@
 //! # portopt-exec
 //!
-//! The shared parallel-execution subsystem: a chunked **work-stealing
+//! The shared parallel-execution subsystem: a chunked **shared-cursor
 //! executor** over an indexed task grid, used by every sweep in the
 //! workspace (dataset generation, the leave-one-out harness, the figure
 //! binaries).
@@ -28,17 +28,20 @@
 //!
 //! ## Scheduling
 //!
-//! The index range is split into one contiguous shard per worker. Each
-//! worker pops small chunks from the *front* of its own shard and, when its
-//! shard runs dry, steals the *back half* of the richest remaining shard.
-//! Chunks keep neighbouring tasks (which tend to touch the same program)
-//! on one core; stealing keeps all cores busy when per-task cost is skewed
-//! — the situation a `(program, setting)` grid is always in, since compile
-//! and profile times vary by orders of magnitude across settings.
+//! Workers share one atomic cursor over the index range. Each claims the
+//! next contiguous chunk of indices with a single `fetch_add` and runs it,
+//! until the cursor passes `n`; a worker that finds the cursor exhausted
+//! returns at once, since no unclaimed work remains anywhere. Chunks keep
+//! neighbouring tasks (which tend to touch the same program) on one core;
+//! claiming small chunks on demand keeps all cores busy when per-task cost
+//! is skewed — the situation a `(program, setting)` grid is always in,
+//! since compile and profile times vary by orders of magnitude across
+//! settings. With one worker the same claim loop runs on the calling
+//! thread.
 //!
-//! A panic in any task is re-raised to the caller; sibling workers stop at
-//! their next idle point rather than spinning on work that can no longer
-//! complete.
+//! A panic in any task is re-raised to the caller; it moves the cursor to
+//! the end, so sibling workers finish their current chunk and claim no
+//! more work.
 //!
 //! For workloads that arrive one item at a time instead of as a grid (the
 //! `portopt-serve` prediction service), [`queue::ServiceQueue`] accumulates
@@ -47,10 +50,11 @@
 //! ## Observability
 //!
 //! Every `map_indexed` call runs inside a `portopt_trace` span and
-//! reports steal/park counters plus aggregate compute-vs-idle
-//! microseconds (a `debug`-level event and span-close fields); queue
-//! drains emit `trace`-level depth samples. With tracing unsinked and
-//! below the stderr filter the cost is a few relaxed atomics per chunk.
+//! reports aggregate compute-vs-idle microseconds, idle being worker time
+//! (`workers × wall`) not spent in tasks (a `debug`-level event and
+//! span-close fields); queue drains emit `trace`-level depth samples.
+//! With tracing unsinked and below the stderr filter the cost is a few
+//! relaxed atomics per chunk.
 
 #![warn(missing_docs)]
 
@@ -61,8 +65,7 @@ pub mod queue;
 pub use cache::{CacheEntryInfo, CacheError, CacheStats, DiskCache, GcReport};
 pub use queue::{ServiceQueue, SubmitError, Ticket};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of threads the host advertises (cgroup-aware); 1 if unknown.
 pub fn available_threads() -> usize {
@@ -79,7 +82,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// A work-stealing executor with a fixed worker count.
+/// A shared-cursor executor with a fixed worker count.
 ///
 /// Cheap to construct (no threads are kept alive between calls — workers
 /// are scoped to each [`map_indexed`](Executor::map_indexed) call, so an
@@ -121,93 +124,48 @@ impl Executor {
             "map_indexed",
             &[("n", n.into()), ("workers", workers.into())],
         );
-        if workers == 1 {
-            let out: Vec<T> = (0..n).map(f).collect();
-            let compute_us = sp.elapsed_us();
-            portopt_trace::debug!(
-                "exec",
-                {
-                    n = n,
-                    workers = 1u64,
-                    steals = 0u64,
-                    parks = 0u64,
-                    compute_us = compute_us,
-                    idle_us = 0u64
-                },
-                "map_indexed drained"
-            );
-            sp.close_with(&[
-                ("steals", 0u64.into()),
-                ("parks", 0u64.into()),
-                ("compute_us", compute_us.into()),
-                ("idle_us", 0u64.into()),
-            ]);
-            return out;
+
+        // Contiguous chunks keep neighbouring tasks on one core.
+        let chunk = (n / (workers * 8)).max(1);
+        let cursor = AtomicUsize::new(0);
+        let compute_us = AtomicU64::new(0);
+        let claim = || claim_chunks(&cursor, n, chunk, &f, &compute_us);
+        let parts: Vec<std::thread::Result<Vec<(usize, T)>>> = if workers == 1 {
+            vec![claim()]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().and_then(|part| part))
+                    .collect()
+            })
+        };
+        let wall_us = sp.elapsed_us();
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        for part in parts {
+            // Re-raise the first task panic, in worker order.
+            for (i, v) in part.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
+                slots[i] = Some(v);
+            }
         }
 
-        // One contiguous shard per worker; chunks keep neighbours together.
-        let chunk = (n / (workers * 8)).max(1);
-        let shards: Vec<Mutex<(usize, usize)>> = (0..workers)
-            .map(|w| {
-                let lo = n * w / workers;
-                let hi = n * (w + 1) / workers;
-                Mutex::new((lo, hi))
-            })
-            .collect();
-
-        let state = SharedState {
-            remaining: AtomicUsize::new(n),
-            panicked: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            compute_us: AtomicU64::new(0),
-            idle_us: AtomicU64::new(0),
-        };
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let shards = &shards;
-                    let state = &state;
-                    let f = &f;
-                    s.spawn(move || worker_loop(shards, state, w, chunk, f))
-                })
-                .collect();
-            // `join` forwards a worker panic; remaining workers drain their
-            // tasks first because `scope` joins every handle.
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let steals = state.steals.load(Ordering::Relaxed);
-        let parks = state.parks.load(Ordering::Relaxed);
-        let compute_us = state.compute_us.load(Ordering::Relaxed);
-        let idle_us = state.idle_us.load(Ordering::Relaxed);
+        let compute_us = compute_us.load(Ordering::Relaxed);
+        let idle_us = (workers as u64 * wall_us).saturating_sub(compute_us);
         portopt_trace::debug!(
             "exec",
             {
                 n = n,
                 workers = workers,
-                steals = steals,
-                parks = parks,
                 compute_us = compute_us,
                 idle_us = idle_us
             },
             "map_indexed drained"
         );
         sp.close_with(&[
-            ("steals", steals.into()),
-            ("parks", parks.into()),
             ("compute_us", compute_us.into()),
             ("idle_us", idle_us.into()),
         ]);
-        for (i, v) in parts.into_iter().flatten() {
-            slots[i] = Some(v);
-        }
         slots
             .into_iter()
             .map(|s| s.expect("every index covered exactly once"))
@@ -233,133 +191,40 @@ impl Default for Executor {
     }
 }
 
-/// Pops up to `chunk` tasks from the front of shard `w`.
-fn pop_front(shards: &[Mutex<(usize, usize)>], w: usize, chunk: usize) -> Option<(usize, usize)> {
-    let mut g = shards[w].lock().expect("shard lock");
-    if g.0 >= g.1 {
-        return None;
-    }
-    let take = chunk.min(g.1 - g.0);
-    let r = (g.0, g.0 + take);
-    g.0 += take;
-    Some(r)
-}
-
-/// Steals the back half of the richest shard other than `w`.
-fn steal(shards: &[Mutex<(usize, usize)>], w: usize) -> Option<(usize, usize)> {
-    // Probe for the victim with the most remaining work; sizes are racy but
-    // only steer the choice — the actual claim below is under the lock.
-    let victim = shards
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != w)
-        .map(|(i, m)| {
-            let g = m.lock().expect("shard lock");
-            (i, g.1.saturating_sub(g.0))
-        })
-        .max_by_key(|&(_, rem)| rem)?;
-    if victim.1 == 0 {
-        return None;
-    }
-    let mut g = shards[victim.0].lock().expect("shard lock");
-    let rem = g.1.saturating_sub(g.0);
-    if rem == 0 {
-        return None;
-    }
-    let take = rem.div_ceil(2);
-    let r = (g.1 - take, g.1);
-    g.1 -= take;
-    Some(r)
-}
-
-/// Cross-worker progress signals for one `map_indexed` call.
-struct SharedState {
-    /// Tasks not yet completed; the authoritative retirement signal.
-    remaining: AtomicUsize,
-    /// Set when any task panicked (its tasks will never complete, so
-    /// `remaining` alone would spin the other workers forever).
-    panicked: AtomicBool,
-    /// Successful steals across all workers (observability only).
-    steals: AtomicU64,
-    /// Idle-backoff parks (yield or sleep) across all workers.
-    parks: AtomicU64,
-    /// Microseconds spent computing task chunks, summed over workers.
-    compute_us: AtomicU64,
-    /// Microseconds spent parked waiting for work, summed over workers.
-    idle_us: AtomicU64,
-}
-
-fn worker_loop<T, F>(
-    shards: &[Mutex<(usize, usize)>],
-    state: &SharedState,
-    w: usize,
+/// One worker's claim loop: takes `chunk`-sized index ranges from the
+/// shared cursor until it passes `n`, then returns its `(index, result)`
+/// pairs. An exhausted cursor means no unclaimed work exists anywhere, so
+/// the worker is done. A panicking task moves the cursor to `n`, so every
+/// sibling stops at its next claim, and its payload is returned.
+fn claim_chunks<T, F>(
+    cursor: &AtomicUsize,
+    n: usize,
     chunk: usize,
     f: &F,
-) -> Vec<(usize, T)>
+    compute_us: &AtomicU64,
+) -> std::thread::Result<Vec<(usize, T)>>
 where
     F: Fn(usize) -> T,
 {
     let mut out = Vec::new();
-    let mut idle_rounds = 0u32;
     loop {
-        if let Some((lo, hi)) = pop_front(shards, w, chunk) {
-            idle_rounds = 0;
-            let chunk_start = std::time::Instant::now();
-            for i in lo..hi {
-                // A sibling's panic makes the whole call unwind; abandon
-                // the rest of our work instead of computing results that
-                // will never be read.
-                if state.panicked.load(Ordering::Acquire) {
-                    return out;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => {
-                        out.push((i, v));
-                        state.remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    Err(payload) => {
-                        state.panicked.store(true, Ordering::Release);
-                        std::panic::resume_unwind(payload);
-                    }
+        // Relaxed suffices: the cursor publishes no data; results reach the
+        // caller through the thread join.
+        let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if lo >= n {
+            return Ok(out);
+        }
+        let chunk_start = std::time::Instant::now();
+        for i in lo..(lo + chunk).min(n) {
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+                Ok(v) => out.push((i, v)),
+                Err(payload) => {
+                    cursor.store(n, Ordering::Relaxed);
+                    return Err(payload);
                 }
             }
-            state
-                .compute_us
-                .fetch_add(chunk_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-            continue;
         }
-        if let Some((lo, hi)) = steal(shards, w) {
-            // Stolen work goes back into our (empty) shard so it is
-            // chunked normally and can itself be re-stolen.
-            idle_rounds = 0;
-            state.steals.fetch_add(1, Ordering::Relaxed);
-            let mut g = shards[w].lock().expect("shard lock");
-            *g = (lo, hi);
-            continue;
-        }
-        // Nothing visible to pop or steal. Retire only once every task has
-        // finished (or a sibling panicked): a probe can race with a victim
-        // draining, and a stolen range is invisible while in the thief's
-        // hands, so `remaining` — not the probe — is the authoritative
-        // "no work left anywhere" signal.
-        if state.remaining.load(Ordering::Acquire) == 0 || state.panicked.load(Ordering::Acquire) {
-            return out;
-        }
-        // Back off while stragglers finish: yield at first, then sleep, so
-        // idle workers neither burn a core nor hammer the shard mutexes
-        // under a seconds-long tail task.
-        idle_rounds = idle_rounds.saturating_add(1);
-        state.parks.fetch_add(1, Ordering::Relaxed);
-        let park_start = std::time::Instant::now();
-        if idle_rounds < 16 {
-            std::thread::yield_now();
-        } else {
-            let us = 50u64 << (idle_rounds - 16).min(4); // 50µs … 800µs
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-        state
-            .idle_us
-            .fetch_add(park_start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        compute_us.fetch_add(chunk_start.elapsed().as_micros() as u64, Ordering::Relaxed);
     }
 }
 

@@ -55,7 +55,7 @@ pub fn dataset_cached(
     on_generate(&report);
     if let Some(path) = cache_path {
         if let Ok(bytes) = serde_json::to_vec(&ds) {
-            let _ = std::fs::write(path, bytes);
+            let _ = portopt_exec::artifact::write_atomic(path, &bytes);
         }
     }
     ds

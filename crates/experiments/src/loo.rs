@@ -206,7 +206,7 @@ pub fn run_loo(ds: &Dataset, modules: &[Module], threads: usize) -> LooResult {
         }
     }
 
-    // Price each predicted setting on the work-stealing executor:
+    // Price each predicted setting on the executor:
     // compile+profile once per distinct (program, setting), evaluate per
     // configuration with the per-profile tables prepared once
     // (`portopt_core::dataset::price_image`, the same kernel dataset

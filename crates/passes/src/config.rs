@@ -261,20 +261,12 @@ impl OptConfig {
     /// # Panics
     /// Panics if `choices` has the wrong length or an out-of-range index.
     pub fn from_choices(choices: &[u8]) -> Self {
-        // Validate against the static cardinality table — the serving hot
-        // path decodes one config per prediction, and `OptSpace::dims()`
-        // would allocate a fresh 39-entry Vec per call. The descriptive
-        // per-dimension panic only pays for `dims()` on the failure path.
-        assert_eq!(
-            choices.len(),
-            OptSpace::CARDINALITIES.len(),
-            "choice vector length"
-        );
-        for (i, (c, card)) in choices.iter().zip(&OptSpace::CARDINALITIES).enumerate() {
+        assert_eq!(choices.len(), DIMS.len(), "choice vector length");
+        for (c, d) in choices.iter().zip(&DIMS) {
             assert!(
-                (*c as usize) < *card,
+                (*c as usize) < d.cardinality,
                 "choice {c} out of range for {}",
-                OptSpace::dims()[i].name
+                d.name
             );
         }
         let b = |i: usize| choices[i] != 0;
@@ -377,219 +369,75 @@ pub struct OptDim {
     pub cardinality: usize,
 }
 
+/// An on/off flag dimension.
+const fn flag(name: &'static str) -> OptDim {
+    OptDim {
+        name,
+        cardinality: 2,
+    }
+}
+
+/// An integer parameter dimension choosing from `menu`.
+const fn param(name: &'static str, menu: &[u32]) -> OptDim {
+    OptDim {
+        name,
+        cardinality: menu.len(),
+    }
+}
+
+/// The one table of the space, behind [`OptSpace::dims`] and the
+/// validation in [`OptConfig::from_choices`].
+const DIMS: [OptDim; 39] = [
+    flag("fthread_jumps"),
+    flag("fcrossjumping"),
+    flag("foptimize_sibling_calls"),
+    flag("fcse_follow_jumps"),
+    flag("fcse_skip_blocks"),
+    flag("fexpensive_optimizations"),
+    flag("fstrength_reduce"),
+    flag("fre_run_cse_after_loop"),
+    flag("frerun_loop_opt"),
+    flag("fcaller_saves"),
+    flag("fpeephole2"),
+    flag("fregmove"),
+    flag("freorder_blocks"),
+    flag("falign_functions"),
+    flag("falign_jumps"),
+    flag("falign_loops"),
+    flag("falign_labels"),
+    flag("ftree_vrp"),
+    flag("ftree_pre"),
+    flag("funswitch_loops"),
+    flag("fgcse"),
+    flag("fno_gcse_lm"),
+    flag("fgcse_sm"),
+    flag("fgcse_las"),
+    flag("fgcse_after_reload"),
+    param("param_max_gcse_passes", &menus::MAX_GCSE_PASSES),
+    flag("fschedule_insns"),
+    flag("fno_sched_interblock"),
+    flag("fno_sched_spec"),
+    flag("finline_functions"),
+    param("param_max_inline_insns_auto", &menus::MAX_INLINE_INSNS_AUTO),
+    param("param_large_function_insns", &menus::LARGE_FUNCTION_INSNS),
+    param("param_large_function_growth", &menus::LARGE_FUNCTION_GROWTH),
+    param("param_large_unit_insns", &menus::LARGE_UNIT_INSNS),
+    param("param_inline_unit_growth", &menus::INLINE_UNIT_GROWTH),
+    param("param_inline_call_cost", &menus::INLINE_CALL_COST),
+    flag("funroll_loops"),
+    param("param_max_unroll_times", &menus::MAX_UNROLL_TIMES),
+    param("param_max_unrolled_insns", &menus::MAX_UNROLLED_INSNS),
+];
+
 /// Static description of the whole space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptSpace;
 
 impl OptSpace {
-    /// Per-dimension cardinalities in canonical order — the static,
-    /// allocation-free mirror of [`dims`](Self::dims) for hot-path
-    /// validation (`dims_cardinalities_match_static_table` pins the two
-    /// in sync).
-    pub const CARDINALITIES: [usize; 39] = [
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        2,
-        menus::MAX_GCSE_PASSES.len(),
-        2,
-        2,
-        2,
-        2,
-        menus::MAX_INLINE_INSNS_AUTO.len(),
-        menus::LARGE_FUNCTION_INSNS.len(),
-        menus::LARGE_FUNCTION_GROWTH.len(),
-        menus::LARGE_UNIT_INSNS.len(),
-        menus::INLINE_UNIT_GROWTH.len(),
-        menus::INLINE_CALL_COST.len(),
-        2,
-        menus::MAX_UNROLL_TIMES.len(),
-        menus::MAX_UNROLLED_INSNS.len(),
-    ];
-
     /// The 39 dimensions in canonical ([`OptConfig::to_choices`]) order,
     /// named exactly as in Figure 8 of the paper.
-    pub fn dims() -> Vec<OptDim> {
-        use menus::*;
-        vec![
-            OptDim {
-                name: "fthread_jumps",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fcrossjumping",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "foptimize_sibling_calls",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fcse_follow_jumps",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fcse_skip_blocks",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fexpensive_optimizations",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fstrength_reduce",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fre_run_cse_after_loop",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "frerun_loop_opt",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fcaller_saves",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fpeephole2",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fregmove",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "freorder_blocks",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "falign_functions",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "falign_jumps",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "falign_loops",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "falign_labels",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "ftree_vrp",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "ftree_pre",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "funswitch_loops",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fgcse",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fno_gcse_lm",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fgcse_sm",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fgcse_las",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fgcse_after_reload",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "param_max_gcse_passes",
-                cardinality: MAX_GCSE_PASSES.len(),
-            },
-            OptDim {
-                name: "fschedule_insns",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fno_sched_interblock",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "fno_sched_spec",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "finline_functions",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "param_max_inline_insns_auto",
-                cardinality: MAX_INLINE_INSNS_AUTO.len(),
-            },
-            OptDim {
-                name: "param_large_function_insns",
-                cardinality: LARGE_FUNCTION_INSNS.len(),
-            },
-            OptDim {
-                name: "param_large_function_growth",
-                cardinality: LARGE_FUNCTION_GROWTH.len(),
-            },
-            OptDim {
-                name: "param_large_unit_insns",
-                cardinality: LARGE_UNIT_INSNS.len(),
-            },
-            OptDim {
-                name: "param_inline_unit_growth",
-                cardinality: INLINE_UNIT_GROWTH.len(),
-            },
-            OptDim {
-                name: "param_inline_call_cost",
-                cardinality: INLINE_CALL_COST.len(),
-            },
-            OptDim {
-                name: "funroll_loops",
-                cardinality: 2,
-            },
-            OptDim {
-                name: "param_max_unroll_times",
-                cardinality: MAX_UNROLL_TIMES.len(),
-            },
-            OptDim {
-                name: "param_max_unrolled_insns",
-                cardinality: MAX_UNROLLED_INSNS.len(),
-            },
-        ]
+    pub fn dims() -> &'static [OptDim] {
+        &DIMS
     }
 
     /// Number of dimensions (39).
@@ -600,10 +448,9 @@ impl OptSpace {
     /// `(flag-only combinations, total combinations)` — the counts the paper
     /// quotes as "642 million" and "1.69e17" for its gcc space.
     pub fn combination_counts() -> (f64, f64) {
-        let dims = Self::dims();
         let mut flags = 1.0f64;
         let mut total = 1.0f64;
-        for d in &dims {
+        for d in &DIMS {
             total *= d.cardinality as f64;
             if d.cardinality == 2 {
                 flags *= 2.0;
@@ -660,7 +507,7 @@ mod tests {
         let o2 = OptConfig::o2().to_choices();
         let o3 = OptConfig::o3().to_choices();
         let dims = OptSpace::dims();
-        for ((a, b), d) in o2.iter().zip(&o3).zip(&dims) {
+        for ((a, b), d) in o2.iter().zip(&o3).zip(dims) {
             if d.cardinality == 2 {
                 assert!(b >= a, "{} regressed from O2 to O3", d.name);
             }
@@ -674,15 +521,6 @@ mod tests {
         assert!(flags >= 5e8 && flags <= 2e9, "flags = {flags}");
         // Full space ~1e14..1e18 (paper: 1.69e17).
         assert!(total >= 1e13 && total <= 1e19, "total = {total}");
-    }
-
-    #[test]
-    fn dims_cardinalities_match_static_table() {
-        let dims = OptSpace::dims();
-        assert_eq!(dims.len(), OptSpace::CARDINALITIES.len());
-        for (d, &card) in dims.iter().zip(&OptSpace::CARDINALITIES) {
-            assert_eq!(d.cardinality, card, "{}", d.name);
-        }
     }
 
     #[test]

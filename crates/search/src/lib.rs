@@ -82,9 +82,8 @@ pub fn random_search(evals: usize, seed: u64, mut cost: impl FnMut(&OptConfig) -
 /// Mutates one configuration: each dimension re-rolls with probability
 /// `rate`.
 fn mutate(cfg: &OptConfig, rate: f64, rng: &mut StdRng) -> OptConfig {
-    let dims = OptSpace::dims();
     let mut choices = cfg.to_choices();
-    for (c, d) in choices.iter_mut().zip(&dims) {
+    for (c, d) in choices.iter_mut().zip(OptSpace::dims()) {
         if rng.gen_bool(rate) {
             *c = rng.gen_range(0..d.cardinality) as u8;
         }

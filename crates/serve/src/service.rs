@@ -86,8 +86,8 @@
 use crate::metrics::ServeMetrics;
 use crate::reload::{ReloadHandle, SnapshotCell, VersionedSnapshot};
 use crate::snapshot::Snapshot;
+use portopt_core::PROFILE_LIMITS;
 use portopt_exec::{Executor, ServiceQueue, SubmitError};
-use portopt_ir::interp::ExecLimits;
 use portopt_ir::{verify_module, Module};
 use portopt_passes::{compile, OptConfig};
 use portopt_sim::{evaluate, profile};
@@ -98,13 +98,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Execution limits for service-side profiling runs (same budget as the
-/// training sweep).
-const PROFILE_LIMITS: ExecLimits = ExecLimits {
-    fuel: 100_000_000,
-    max_depth: 2048,
-};
 
 /// Default number of requests drained per executor batch.
 pub const DEFAULT_BATCH: usize = 32;

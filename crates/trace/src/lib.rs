@@ -3,11 +3,12 @@
 //! for the offline `trace` analysis bin.
 //!
 //! This crate is deliberately **dependency-free** (std only): it sits
-//! below every other workspace crate — `portopt-exec` counts steals and
-//! parks through it, `portopt-core` wraps every (program, setting)
-//! pricing in a span, the bench bins route their progress chatter
-//! through the leveled macros — so it must never pull another crate
-//! (not even a shim) into the leaf position of the dependency graph.
+//! below every other workspace crate — `portopt-exec` reports each
+//! batch's compute and idle time through it, `portopt-core` wraps every
+//! (program, setting) pricing in a span, the bench bins route their
+//! progress chatter through the leveled macros — so it must never pull
+//! another crate (not even a shim) into the leaf position of the
+//! dependency graph.
 //! It hand-rolls the small JSON subset it needs to emit records; the
 //! reader lives with its one consumer, the `trace` bin
 //! (`portopt_bench::read`), which parses with the `serde_json` shim.

@@ -11,7 +11,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`portopt_trace`] | leveled events + timed spans, stderr/JSON-lines sinks |
-//! | [`portopt_exec`] | deterministic work-stealing executor behind every sweep |
+//! | [`portopt_exec`] | deterministic shared-cursor executor behind every sweep |
 //! | [`portopt_ir`] | IR, builder DSL, analyses, reference interpreter |
 //! | [`portopt_passes`] | the Figure 3 pass space, register allocation, layout |
 //! | [`portopt_uarch`] | Table 2 design space, Cacti/cache/BTB models, counters |
