@@ -93,8 +93,11 @@ fn bench_model(c: &mut Criterion) {
     // The rest of the zoo through the same query, so per-kind serve costs
     // are tracked side by side with the paper's kNN.
     for kind in [ModelKind::Linear, ModelKind::Clustered] {
-        let zoo = PortableCompiler::try_train_kind(&ds, None, None, kind, &TrainOptions::default())
-            .unwrap();
+        let opts = TrainOptions {
+            model: kind,
+            ..TrainOptions::default()
+        };
+        let zoo = PortableCompiler::train(&ds, None, None, &opts);
         g.bench_function(&format!("predict_mode_{kind}"), |b| {
             b.iter(|| zoo.model().predict_mode(x))
         });
@@ -216,10 +219,11 @@ fn bench_serve(c: &mut Criterion) {
     // identical harness, only the snapshot's model kind differs, so the
     // per-kind serving cost is directly comparable with the kNN number.
     for kind in [ModelKind::Linear, ModelKind::Clustered] {
-        let zoo_service = PredictionService::new(
-            Snapshot::try_train_kind(&ds, kind, &TrainOptions::default()).unwrap(),
-            0,
-        );
+        let opts = TrainOptions {
+            model: kind,
+            ..TrainOptions::default()
+        };
+        let zoo_service = PredictionService::new(Snapshot::train(&ds, &opts), 0);
         g.bench_function(&format!("serve_predict_batch64_{kind}"), |b| {
             b.iter(|| {
                 let mut stats = ServiceStats::default();

@@ -60,11 +60,14 @@ fn main() {
         "train",
         &[("programs", (ds.n_programs() as u64).into())],
     );
-    let snap =
-        Snapshot::try_train_kind(&ds, args.model, &TrainOptions::default()).unwrap_or_else(|e| {
-            portopt_trace::error!("bench.snapshot", "cannot train on this dataset: {e}");
-            std::process::exit(2);
-        });
+    let opts = TrainOptions {
+        model: args.model,
+        ..TrainOptions::default()
+    };
+    let snap = Snapshot::try_train(&ds, &opts).unwrap_or_else(|e| {
+        portopt_trace::error!("bench.snapshot", "cannot train on this dataset: {e}");
+        std::process::exit(2);
+    });
     train_span.close_with(&[("pairs", (snap.compiler.model().len() as u64).into())]);
     let path = args.snapshot_path();
     if let Err(e) = snap.save(&path) {

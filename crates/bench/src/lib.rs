@@ -9,7 +9,7 @@
 pub mod coordinator;
 pub mod read;
 
-use portopt_core::{Dataset, GenOptions, ModelKind, SweepReport, SweepScale};
+use portopt_core::{plan_fingerprint, Dataset, GenOptions, ModelKind, SweepReport, SweepScale};
 use portopt_exec::artifact::write_atomic;
 use portopt_experiments::loo::{run_loo, LooResult};
 use portopt_experiments::{dataset_cached, suite_modules};
@@ -405,10 +405,16 @@ impl BinArgs {
             "default" => SweepScale::default_scale(),
             "smoke" => SweepScale::smoke(),
             // `quick`: the scale used for the recorded EXPERIMENTS.md run.
-            _ => SweepScale {
+            "quick" => SweepScale {
                 n_uarch: 10,
                 n_opts: 60,
             },
+            // Fatal like the shard flags: a typo must not run (and cache)
+            // a sweep nobody asked for.
+            other => {
+                eprintln!("--scale expects smoke|quick|default|paper, got {other:?}");
+                std::process::exit(2);
+            }
         };
         BinArgs {
             scale,
@@ -644,11 +650,8 @@ impl BinArgs {
     /// Loads or generates the dataset (cached under `target/`). A fresh
     /// generation also records its throughput report.
     pub fn dataset(&self) -> Dataset {
-        let cache = format!(
-            "target/portopt-ds-{}{}.json",
-            self.scale_name,
-            if self.extended { "-ext" } else { "" }
-        );
+        let (suite, _) = suite_modules(2009);
+        let cache = sweep_cache_path("ds", &self.scale_name, &suite, &self.gen_options());
         let path = std::path::PathBuf::from(cache);
         dataset_cached(
             &self.gen_options(),
@@ -660,12 +663,8 @@ impl BinArgs {
     /// Dataset plus the leave-one-out evaluation (also cached).
     pub fn dataset_and_loo(&self) -> (Dataset, LooResult, Vec<Module>) {
         let ds = self.dataset();
-        let (_, modules) = suite_modules(2009);
-        let cache = format!(
-            "target/portopt-loo-{}{}.json",
-            self.scale_name,
-            if self.extended { "-ext" } else { "" }
-        );
+        let (suite, modules) = suite_modules(2009);
+        let cache = sweep_cache_path("loo", &self.scale_name, &suite, &self.gen_options());
         if !self.no_cache {
             if let Ok(bytes) = std::fs::read(&cache) {
                 if let Ok(loo) = serde_json::from_slice::<LooResult>(&bytes) {
@@ -682,5 +681,73 @@ impl BinArgs {
             }
         }
         (ds, loo, modules)
+    }
+}
+
+/// Where the figure bins cache `what` (`ds` for the dataset, `loo` for
+/// the leave-one-out result) of one sweep plan:
+/// `target/portopt-<what>-<scale>[-ext]-<fingerprint>.json`. The scale
+/// name is for humans; the fingerprint ([`plan_fingerprint`] as 16 hex
+/// digits) keeps a cache left by another suite, seed, space or profiling
+/// limits from being mistaken for this plan's.
+fn sweep_cache_path(
+    what: &str,
+    scale_name: &str,
+    suite: &[(String, Module)],
+    opts: &GenOptions,
+) -> String {
+    format!(
+        "target/portopt-{what}-{scale_name}{}-{:016x}.json",
+        if opts.extended_space { "-ext" } else { "" },
+        plan_fingerprint(suite, opts)
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use portopt_ir::{FuncBuilder, ModuleBuilder};
+
+    fn module(ret: i64) -> Module {
+        let mut mb = ModuleBuilder::new("m");
+        let mut b = FuncBuilder::new("main", 0);
+        let v = b.iconst(ret);
+        b.ret(v);
+        let id = mb.add(b.finish());
+        mb.entry(id);
+        mb.finish()
+    }
+
+    #[test]
+    fn cache_names_follow_the_sweep_plan() {
+        let suite = vec![("a".to_string(), module(1)), ("b".to_string(), module(2))];
+        let opts = GenOptions {
+            scale: SweepScale::smoke(),
+            seed: 2009,
+            extended_space: false,
+            threads: 1,
+        };
+        let name = |suite: &[(String, Module)], opts: &GenOptions| {
+            sweep_cache_path("ds", "smoke", suite, opts)
+        };
+        let base = name(&suite, &opts);
+        assert!(base.starts_with("target/portopt-ds-smoke-"), "{base}");
+        assert_eq!(base.len(), "target/portopt-ds-smoke-.json".len() + 16);
+        // Equal plans share a name, whatever the thread count.
+        let threads = GenOptions { threads: 8, ..opts };
+        assert_eq!(name(&suite, &threads), base);
+        let reseeded = GenOptions { seed: 7, ..opts };
+        assert_ne!(name(&suite, &reseeded), base);
+        let extended = GenOptions {
+            extended_space: true,
+            ..opts
+        };
+        let ext = name(&suite, &extended);
+        assert!(ext.starts_with("target/portopt-ds-smoke-ext-"), "{ext}");
+        assert_ne!(ext.replace("-ext", ""), base);
+        let mut edited = suite.clone();
+        edited[1].1 = module(3);
+        assert_ne!(name(&edited, &opts), base);
+        assert_ne!(sweep_cache_path("loo", "smoke", &suite, &opts), base);
     }
 }

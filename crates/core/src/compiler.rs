@@ -3,64 +3,46 @@
 //! profiling run.
 
 use crate::dataset::{Dataset, PROFILE_LIMITS};
-use portopt_ir::Module;
-use portopt_ml::{
-    IidDistribution, KnnModel, Model, ModelKind, ModelOptions, TrainError, DEFAULT_BETA, DEFAULT_K,
-    DEFAULT_K_CLUSTERS, DEFAULT_RIDGE_LAMBDA,
-};
+use portopt_ir::interp::ExecError;
+use portopt_ir::{verify_module, Module, VerifyError};
+use portopt_ml::{IidDistribution, KnnModel, Model, ModelKind, TrainError, TrainOptions};
 use portopt_passes::{compile, CodeImage, OptConfig, OptSpace};
 use portopt_sim::{evaluate, profile, TimingResult};
 use portopt_uarch::{FeatureVec, MicroArch, PerfCounters};
 use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// The fraction of sampled settings considered "good" (paper: top 5 %).
 pub const GOOD_FRACTION: f64 = 0.05;
 
-/// Training hyper-parameters, covering every model kind in the zoo (each
-/// trainer reads the fields it understands).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TrainOptions {
-    /// Neighbour count (paper: 7).
-    pub k: usize,
-    /// Softmax inverse temperature (paper: 1).
-    pub beta: f64,
-    /// Good-set fraction (paper: 0.05).
-    pub good_fraction: f64,
-    /// Ridge penalty λ for the `linear` model kind.
-    pub ridge_lambda: f64,
-    /// Cluster count for the `clustered` model kind.
-    pub k_clusters: usize,
+/// Why the Figure 2 flow could not predict a setting for a module. The
+/// `Display` texts are the serving layer's per-request error replies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OptimiseError {
+    /// The module failed IR verification: compiling and simulating it
+    /// would index registers, blocks, callees or memory out of range.
+    Verify(VerifyError),
+    /// The `-O3` profiling run failed (runaway loop, stack overflow or a
+    /// wild address).
+    Profile(ExecError),
 }
 
-impl Default for TrainOptions {
-    fn default() -> Self {
-        TrainOptions {
-            k: DEFAULT_K,
-            beta: DEFAULT_BETA,
-            good_fraction: GOOD_FRACTION,
-            ridge_lambda: DEFAULT_RIDGE_LAMBDA,
-            k_clusters: DEFAULT_K_CLUSTERS,
+impl fmt::Display for OptimiseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OptimiseError::Verify(e) => write!(f, "module failed verification: {e}"),
+            OptimiseError::Profile(e) => write!(f, "-O3 profiling run failed: {e:?}"),
         }
     }
 }
 
-impl TrainOptions {
-    /// The model-zoo subset of these options, in `portopt_ml`'s terms.
-    pub fn model_options(&self) -> ModelOptions {
-        ModelOptions {
-            k: self.k,
-            beta: self.beta,
-            ridge_lambda: self.ridge_lambda,
-            k_clusters: self.k_clusters,
-        }
-    }
-}
+impl std::error::Error for OptimiseError {}
 
 /// A trained portable optimising compiler: any model from the
 /// `portopt_ml` zoo behind the deployment flow of Figure 2.
 #[derive(Debug, Clone)]
 pub struct PortableCompiler {
-    model: Box<dyn Model>,
+    model: Model,
 }
 
 // Hand-written serde: the wire shape stays `{"model": <payload>}` for the
@@ -87,7 +69,7 @@ impl Deserialize for PortableCompiler {
             Err(_) => ModelKind::Knn,
         };
         Ok(PortableCompiler {
-            model: portopt_ml::decode_model(kind, v.field("model")?)?,
+            model: Model::decode(kind, v.field("model")?)?,
         })
     }
 }
@@ -114,49 +96,37 @@ impl PortableCompiler {
     /// tools (the `snapshot` bin) where "the dataset had no usable pairs"
     /// must be a diagnostic, not a crash. The only realistic failure here
     /// is [`TrainError::Empty`]: skipping the last program/uarch of a
-    /// minimal dataset can leave zero training pairs. Trains the paper's
-    /// kNN model; [`try_train_kind`](Self::try_train_kind) picks another
-    /// kind from the zoo.
+    /// minimal dataset can leave zero training pairs. Trains the kind
+    /// `opts.model` names.
     pub fn try_train(
         ds: &Dataset,
         skip_prog: Option<usize>,
         skip_uarch: Option<usize>,
         opts: &TrainOptions,
     ) -> Result<Self, TrainError> {
-        Self::try_train_kind(ds, skip_prog, skip_uarch, ModelKind::Knn, opts)
-    }
-
-    /// [`try_train`](Self::try_train) for any model kind in the zoo.
-    pub fn try_train_kind(
-        ds: &Dataset,
-        skip_prog: Option<usize>,
-        skip_uarch: Option<usize>,
-        kind: ModelKind,
-        opts: &TrainOptions,
-    ) -> Result<Self, TrainError> {
-        let (features, dists) = Self::training_pairs(ds, skip_prog, skip_uarch, opts.good_fraction);
+        let (features, dists) = Self::training_pairs(ds, skip_prog, skip_uarch);
         Ok(PortableCompiler {
-            model: portopt_ml::try_train_kind(kind, features, dists, &opts.model_options())?,
+            model: Model::train(features, dists, opts)?,
         })
     }
 
     /// Wraps an already-trained model (differential tests that must
     /// compare two kinds over the same training pairs build both sides
     /// from [`training_pairs`](Self::training_pairs) and wrap them here).
-    pub fn from_model(model: Box<dyn Model>) -> Self {
+    pub fn from_model(model: Model) -> Self {
         PortableCompiler { model }
     }
 
     /// The per-pair training inputs every model kind is fitted to:
     /// features and good-set distributions in dataset order, with the
-    /// leave-one-out holdouts excluded. Exposed so differential tests can
-    /// train a concrete model from exactly the pairs
-    /// [`try_train_kind`](Self::try_train_kind) uses.
+    /// leave-one-out holdouts excluded, each good set the top
+    /// [`GOOD_FRACTION`] of its pair's settings. Exposed so differential
+    /// tests can train a concrete model from exactly the pairs
+    /// [`try_train`](Self::try_train) uses.
     pub fn training_pairs(
         ds: &Dataset,
         skip_prog: Option<usize>,
         skip_uarch: Option<usize>,
-        good_fraction: f64,
     ) -> (Vec<Vec<f64>>, Vec<IidDistribution>) {
         let dims: Vec<usize> = OptSpace::dims().iter().map(|d| d.cardinality).collect();
         let mut features = Vec::new();
@@ -170,7 +140,7 @@ impl PortableCompiler {
                     continue;
                 }
                 let good: Vec<Vec<u8>> = ds
-                    .good_set(p, u, good_fraction)
+                    .good_set(p, u, GOOD_FRACTION)
                     .into_iter()
                     .map(|c| ds.configs[c].to_choices())
                     .collect();
@@ -209,27 +179,42 @@ impl PortableCompiler {
         self.predict(&FeatureVec::new(c, d))
     }
 
-    /// The full Figure 2 deployment flow for a new program on a new
-    /// microarchitecture: one `-O3` profiling run to read the counters,
-    /// one prediction, one recompilation.
+    /// The prediction half of the Figure 2 flow for a new program on a
+    /// new microarchitecture: verify `module`, compile it at `-O3`, profile
+    /// it once and predict from that run's counters on `target`.
+    ///
+    /// Returns the predicted setting and the timing of the `-O3` run whose
+    /// counters fed the prediction.
+    pub fn predict_module(
+        &self,
+        module: &Module,
+        target: &MicroArch,
+    ) -> Result<(OptConfig, TimingResult), OptimiseError> {
+        verify_module(module).map_err(OptimiseError::Verify)?;
+        let img3 = compile(module, &OptConfig::o3());
+        let prof3 = profile(&img3, module, &[], PROFILE_LIMITS).map_err(OptimiseError::Profile)?;
+        let t3 = evaluate(&img3, &prof3, target);
+        Ok((self.predict_from_counters(&t3.counters, target), t3))
+    }
+
+    /// The full Figure 2 deployment flow:
+    /// [`predict_module`](Self::predict_module), then one recompilation at
+    /// the predicted setting.
     ///
     /// Returns the optimised image, the predicted setting, and the timing
-    /// of the profiling run (whose counters fed the prediction).
+    /// of the `-O3` profiling run.
     pub fn optimise(
         &self,
         module: &Module,
         target: &MicroArch,
-    ) -> (CodeImage, OptConfig, TimingResult) {
-        let img3 = compile(module, &OptConfig::o3());
-        let prof3 = profile(&img3, module, &[], PROFILE_LIMITS).expect("O3 run");
-        let t3 = evaluate(&img3, &prof3, target);
-        let cfg = self.predict_from_counters(&t3.counters, target);
-        (compile(module, &cfg), cfg, t3)
+    ) -> Result<(CodeImage, OptConfig, TimingResult), OptimiseError> {
+        let (cfg, t3) = self.predict_module(module, target)?;
+        Ok((compile(module, &cfg), cfg, t3))
     }
 
     /// Access to the underlying model (for analysis).
-    pub fn model(&self) -> &dyn Model {
-        self.model.as_ref()
+    pub fn model(&self) -> &Model {
+        &self.model
     }
 
     /// The concrete kNN model, when this compiler holds one — `None` for
@@ -237,7 +222,10 @@ impl PortableCompiler {
     /// structure (the blocked feature matrix, the oracle predictors) go
     /// through here.
     pub fn knn(&self) -> Option<&KnnModel> {
-        self.model.as_any().downcast_ref::<KnnModel>()
+        match &self.model {
+            Model::Knn(m) => Some(m),
+            _ => None,
+        }
     }
 }
 
@@ -277,6 +265,22 @@ mod tests {
         let id = mb.add(b.finish());
         mb.entry(id);
         (name.to_string(), mb.finish())
+    }
+
+    /// A `main` that calls itself before returning: it passes
+    /// `verify_module` but overflows any call-depth limit.
+    fn runaway_recursion() -> Module {
+        let mut mb = ModuleBuilder::new("runaway");
+        let main = mb.declare("main", 0);
+        let mut b = FuncBuilder::new("main", 0);
+        let r = b.call(main, &[]);
+        let r1 = b.add(r, 1);
+        b.ret(r1);
+        mb.define(main, b.finish());
+        mb.entry(main);
+        let m = mb.finish();
+        verify_module(&m).expect("well-formed");
+        m
     }
 
     fn small_dataset() -> Dataset {
@@ -331,7 +335,7 @@ mod tests {
         let (name, module) = program("mem_eval", true);
         let _ = name;
         let target = ds.uarchs[0];
-        let (img, cfg, t3) = pc.optimise(&module, &target);
+        let (img, cfg, t3) = pc.optimise(&module, &target).unwrap();
         let prof = profile(
             &img,
             &module,
@@ -365,9 +369,12 @@ mod tests {
     #[test]
     fn every_model_kind_trains_and_round_trips() {
         let ds = small_dataset();
-        let opts = TrainOptions::default();
         for kind in ModelKind::ALL {
-            let pc = PortableCompiler::try_train_kind(&ds, None, None, kind, &opts).unwrap();
+            let opts = TrainOptions {
+                model: kind,
+                ..TrainOptions::default()
+            };
+            let pc = PortableCompiler::try_train(&ds, None, None, &opts).unwrap();
             assert_eq!(pc.model().kind(), kind);
             assert_eq!(pc.knn().is_some(), kind == ModelKind::Knn);
             let json = serde_json::to_string(&pc).unwrap();
@@ -380,18 +387,27 @@ mod tests {
     }
 
     #[test]
-    fn trait_dispatch_matches_concrete_knn() {
+    fn enum_dispatch_matches_concrete_knn() {
         let ds = small_dataset();
         let opts = TrainOptions::default();
-        let (features, dists) =
-            PortableCompiler::training_pairs(&ds, Some(0), Some(0), opts.good_fraction);
+        let (features, dists) = PortableCompiler::training_pairs(&ds, Some(0), Some(0));
         let concrete = KnnModel::try_train(features, dists, opts.k, opts.beta).unwrap();
-        let pc =
-            PortableCompiler::try_train_kind(&ds, Some(0), Some(0), ModelKind::Knn, &opts).unwrap();
+        let pc = PortableCompiler::try_train(&ds, Some(0), Some(0), &opts).unwrap();
         assert_eq!(pc.knn().unwrap(), &concrete);
         for p in 0..ds.n_programs() {
             let x = &ds.features[p][0].values;
             assert_eq!(pc.model().predict_mode(x), concrete.predict_mode(x));
         }
+    }
+
+    #[test]
+    fn optimise_reports_a_failed_o3_run() {
+        let ds = small_dataset();
+        let pc = PortableCompiler::train(&ds, None, None, &TrainOptions::default());
+        let err = pc
+            .optimise(&runaway_recursion(), &ds.uarchs[0])
+            .unwrap_err();
+        assert_eq!(err, OptimiseError::Profile(ExecError::StackOverflow));
+        assert_eq!(err.to_string(), "-O3 profiling run failed: StackOverflow");
     }
 }

@@ -19,8 +19,9 @@
 //!   with [`Dataset::merge`].
 //! * [`compiler`] — model building (§3.3) and deployment (§3.4):
 //!   [`PortableCompiler`] wraps good-set extraction, per-pair IID
-//!   distribution fitting, and the KNN predictive distribution, decoded at
-//!   its mode.
+//!   distribution fitting, and a predictor from the `portopt_ml` zoo
+//!   (the paper's kNN by default, chosen by [`TrainOptions::model`]),
+//!   decoded at its mode.
 //!
 //! The leave-one-out evaluation harness and every figure of the paper live
 //! in `portopt-experiments`.
@@ -33,12 +34,12 @@ pub mod dataset;
 pub mod shard;
 
 pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT};
-pub use compiler::{PortableCompiler, TrainOptions, GOOD_FRACTION};
+pub use compiler::{OptimiseError, PortableCompiler, GOOD_FRACTION};
 pub use dataset::{
     generate, generate_with_cache, generate_with_checkpoint, generate_with_report,
     generate_with_uarchs, open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program,
     CachedProfile, Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
     PROFILE_CACHE_PAYLOAD_VERSION, PROFILE_LIMITS,
 };
-pub use portopt_ml::{Model, ModelKind, ModelOptions};
+pub use portopt_ml::{Model, ModelKind, TrainOptions};
 pub use shard::{ShardError, ShardSpec};

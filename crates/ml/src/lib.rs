@@ -44,4 +44,4 @@ pub use dist::IidDistribution;
 pub use knn::{FeatureMatrix, KnnModel, Normalizer, TrainError, DEFAULT_BETA, DEFAULT_K};
 pub use linear::{ridge_weights_oracle, LinearModel, DEFAULT_RIDGE_LAMBDA};
 pub use mi::{bin_equal_frequency, entropy, mutual_information, normalized_mutual_information};
-pub use model::{decode_model, try_train_kind, Model, ModelKind, ModelOptions};
+pub use model::{Model, ModelKind, TrainOptions};

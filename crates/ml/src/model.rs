@@ -1,10 +1,9 @@
-//! The model zoo: one trait over every trained predictor.
+//! The model zoo: one closed enum over every trained predictor.
 //!
-//! [`Model`] is the contract the snapshot format and the prediction
-//! service program against — predict a factorised distribution or its
-//! mode from a feature vector, report the feature dimensionality and
-//! pass-space shape, and hand back a serde payload. Three families
-//! implement it:
+//! [`Model`] is what the snapshot format and the prediction service
+//! program against — predict a factorised distribution or its mode from
+//! a feature vector, report the feature dimensionality and pass-space
+//! shape, and hand back a serde payload. It has one variant per family:
 //!
 //! | kind        | type                  | idea                                 |
 //! |-------------|-----------------------|--------------------------------------|
@@ -12,20 +11,19 @@
 //! | `linear`    | [`LinearModel`]       | per-pass ridge regression to scores  |
 //! | `clustered` | [`ClusteredKnnModel`] | k-means + one kNN per cluster        |
 //!
-//! [`ModelKind`] is the closed registry: it names the snapshot payload
-//! tag ([`ModelKind::as_str`]), dispatches training
-//! ([`try_train_kind`]) and decoding ([`decode_model`]), and indexes
-//! per-kind metrics counters ([`ModelKind::index`]). Adding a model kind
-//! means extending the enum and the two dispatch functions here; the
-//! cross-model conformance suite then picks it up from
-//! [`ModelKind::ALL`].
+//! [`ModelKind`] names the variants: the snapshot payload tag
+//! ([`ModelKind::as_str`]), the kind [`TrainOptions::model`] asks
+//! [`Model::train`] for, the kind [`Model::decode`] reads, and the index
+//! of per-kind metrics counters ([`ModelKind::index`]). Adding a model
+//! kind means adding a variant to both enums; the compiler then points at
+//! every `match` that must learn it, and the cross-model conformance
+//! suite picks it up from [`ModelKind::ALL`].
 
-use crate::cluster::ClusteredKnnModel;
+use crate::cluster::{ClusteredKnnModel, DEFAULT_K_CLUSTERS};
 use crate::dist::IidDistribution;
 use crate::knn::{KnnModel, TrainError, DEFAULT_BETA, DEFAULT_K};
-use crate::linear::LinearModel;
+use crate::linear::{LinearModel, DEFAULT_RIDGE_LAMBDA};
 use serde::{Deserialize, Serialize, Value};
-use std::any::Any;
 use std::fmt;
 
 /// Which predictor family a trained model belongs to — the snapshot
@@ -34,12 +32,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The paper's kNN-over-softmax predictor ([`KnnModel`]).
-    Knn,
+    Knn = 0,
     /// Per-pass ridge regression to class scores ([`LinearModel`]).
-    Linear,
+    Linear = 1,
     /// k-means over normalised features with one kNN per cluster
     /// ([`ClusteredKnnModel`]).
-    Clustered,
+    Clustered = 2,
 }
 
 impl ModelKind {
@@ -64,13 +62,9 @@ impl ModelKind {
     }
 
     /// Dense index into [`ALL`](Self::ALL) (for fixed-size per-kind
-    /// counter arrays).
+    /// counter arrays): the explicit discriminant.
     pub fn index(self) -> usize {
-        match self {
-            ModelKind::Knn => 0,
-            ModelKind::Linear => 1,
-            ModelKind::Clustered => 2,
-        }
+        self as usize
     }
 }
 
@@ -97,10 +91,13 @@ impl Deserialize for ModelKind {
     }
 }
 
-/// Hyper-parameters covering every kind in the zoo; each trainer reads
-/// the fields it understands.
+/// Training options for every kind in the zoo: which kind to train and
+/// its hyper-parameters. Each trainer reads the fields it understands;
+/// the default is the paper's kNN model (§3.3).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ModelOptions {
+pub struct TrainOptions {
+    /// Which model kind [`Model::train`] fits.
+    pub model: ModelKind,
     /// Neighbour count for the kNN-family kinds (paper: 7).
     pub k: usize,
     /// Softmax inverse temperature for the kNN-family kinds (paper: 1).
@@ -111,20 +108,22 @@ pub struct ModelOptions {
     pub k_clusters: usize,
 }
 
-impl Default for ModelOptions {
+impl Default for TrainOptions {
     fn default() -> Self {
-        ModelOptions {
+        TrainOptions {
+            model: ModelKind::Knn,
             k: DEFAULT_K,
             beta: DEFAULT_BETA,
-            ridge_lambda: crate::linear::DEFAULT_RIDGE_LAMBDA,
-            k_clusters: crate::cluster::DEFAULT_K_CLUSTERS,
+            ridge_lambda: DEFAULT_RIDGE_LAMBDA,
+            k_clusters: DEFAULT_K_CLUSTERS,
         }
     }
 }
 
-/// A trained predictor behind the snapshot and serving contract.
+/// A trained predictor from the zoo, behind the snapshot and serving
+/// contract.
 ///
-/// Implementations promise:
+/// Every variant promises:
 /// * **determinism** — `predict`/`predict_mode` are pure functions of the
 ///   trained state and the query, bit-identical across calls and across a
 ///   save/load round trip of [`payload`](Self::payload);
@@ -133,172 +132,110 @@ impl Default for ModelOptions {
 /// * **honest metadata** — `feature_dim` is the exact query length
 ///   `predict` expects and `dims` the exact pass-space shape it answers
 ///   over.
-pub trait Model: fmt::Debug + Send + Sync {
+#[derive(Debug, Clone, PartialEq)]
+pub enum Model {
+    /// The paper's kNN-over-softmax predictor.
+    Knn(KnnModel),
+    /// Per-pass ridge regression to class scores.
+    Linear(LinearModel),
+    /// k-means over normalised features with one kNN per cluster.
+    Clustered(ClusteredKnnModel),
+}
+
+/// Applies one expression to whichever concrete model `$model` holds.
+macro_rules! each {
+    ($model:expr, $m:ident => $e:expr) => {
+        match $model {
+            Model::Knn($m) => $e,
+            Model::Linear($m) => $e,
+            Model::Clustered($m) => $e,
+        }
+    };
+}
+
+impl Model {
+    /// Trains a model of kind `opts.model` from per-pair features and
+    /// fitted distributions — the one dispatch point every trainer goes
+    /// through.
+    pub fn train(
+        features: Vec<Vec<f64>>,
+        dists: Vec<IidDistribution>,
+        opts: &TrainOptions,
+    ) -> Result<Model, TrainError> {
+        Ok(match opts.model {
+            ModelKind::Knn => Model::Knn(KnnModel::try_train(features, dists, opts.k, opts.beta)?),
+            ModelKind::Linear => {
+                Model::Linear(LinearModel::try_train(features, dists, opts.ridge_lambda)?)
+            }
+            ModelKind::Clustered => Model::Clustered(ClusteredKnnModel::try_train(
+                features,
+                dists,
+                opts.k,
+                opts.beta,
+                opts.k_clusters,
+            )?),
+        })
+    }
+
+    /// Decodes a model payload of the given kind — the inverse of
+    /// [`payload`](Self::payload), and the one dispatch point every
+    /// snapshot loader goes through.
+    pub fn decode(kind: ModelKind, v: &Value) -> Result<Model, serde::Error> {
+        Ok(match kind {
+            ModelKind::Knn => Model::Knn(KnnModel::from_value(v)?),
+            ModelKind::Linear => Model::Linear(LinearModel::from_value(v)?),
+            ModelKind::Clustered => Model::Clustered(ClusteredKnnModel::from_value(v)?),
+        })
+    }
+
     /// Which registry entry this model is (drives snapshot tagging,
     /// payload decoding and per-kind metrics).
-    fn kind(&self) -> ModelKind;
+    pub fn kind(&self) -> ModelKind {
+        match self {
+            Model::Knn(_) => ModelKind::Knn,
+            Model::Linear(_) => ModelKind::Linear,
+            Model::Clustered(_) => ModelKind::Clustered,
+        }
+    }
+
     /// Dimensionality of the feature vectors the model was trained on.
-    fn feature_dim(&self) -> usize;
+    pub fn feature_dim(&self) -> usize {
+        each!(self, m => m.feature_dim())
+    }
+
     /// Number of training points behind the model.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        each!(self, m => m.len())
+    }
+
     /// Whether the model holds no training points (never true for a
     /// trained model).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn is_empty(&self) -> bool {
+        each!(self, m => m.is_empty())
     }
+
     /// Per-dimension cardinalities of the optimisation space the model
     /// predicts over.
-    fn dims(&self) -> Vec<usize>;
+    pub fn dims(&self) -> Vec<usize> {
+        each!(self, m => m.dims())
+    }
+
     /// The predictive distribution `q(y|x)`.
-    fn predict(&self, x: &[f64]) -> IidDistribution;
+    pub fn predict(&self, x: &[f64]) -> IidDistribution {
+        each!(self, m => m.predict(x))
+    }
+
     /// The predicted-best setting `argmax_y q(y|x)`.
-    fn predict_mode(&self, x: &[f64]) -> Vec<u8>;
+    pub fn predict_mode(&self, x: &[f64]) -> Vec<u8> {
+        each!(self, m => m.predict_mode(x))
+    }
+
     /// The serde payload a snapshot stores under its kind tag;
-    /// [`decode_model`] with [`kind`](Self::kind) inverts it exactly.
-    fn payload(&self) -> Value;
-    /// Clones the model behind the trait object ([`Clone`] for
-    /// `Box<dyn Model>` delegates here).
-    fn boxed_clone(&self) -> Box<dyn Model>;
-    /// Downcast access for kind-specific paths (benches and differential
-    /// tests that need the concrete model's oracle methods).
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl Clone for Box<dyn Model> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
+    /// [`decode`](Self::decode) with [`kind`](Self::kind) inverts it
+    /// exactly.
+    pub fn payload(&self) -> Value {
+        each!(self, m => m.to_value())
     }
-}
-
-impl Model for KnnModel {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Knn
-    }
-    fn feature_dim(&self) -> usize {
-        KnnModel::feature_dim(self)
-    }
-    fn len(&self) -> usize {
-        KnnModel::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        KnnModel::is_empty(self)
-    }
-    fn dims(&self) -> Vec<usize> {
-        KnnModel::dims(self)
-    }
-    fn predict(&self, x: &[f64]) -> IidDistribution {
-        KnnModel::predict(self, x)
-    }
-    fn predict_mode(&self, x: &[f64]) -> Vec<u8> {
-        KnnModel::predict_mode(self, x)
-    }
-    fn payload(&self) -> Value {
-        self.to_value()
-    }
-    fn boxed_clone(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl Model for LinearModel {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Linear
-    }
-    fn feature_dim(&self) -> usize {
-        LinearModel::feature_dim(self)
-    }
-    fn len(&self) -> usize {
-        LinearModel::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        LinearModel::is_empty(self)
-    }
-    fn dims(&self) -> Vec<usize> {
-        LinearModel::dims(self)
-    }
-    fn predict(&self, x: &[f64]) -> IidDistribution {
-        LinearModel::predict(self, x)
-    }
-    fn predict_mode(&self, x: &[f64]) -> Vec<u8> {
-        LinearModel::predict_mode(self, x)
-    }
-    fn payload(&self) -> Value {
-        self.to_value()
-    }
-    fn boxed_clone(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl Model for ClusteredKnnModel {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Clustered
-    }
-    fn feature_dim(&self) -> usize {
-        ClusteredKnnModel::feature_dim(self)
-    }
-    fn len(&self) -> usize {
-        ClusteredKnnModel::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        ClusteredKnnModel::is_empty(self)
-    }
-    fn dims(&self) -> Vec<usize> {
-        ClusteredKnnModel::dims(self)
-    }
-    fn predict(&self, x: &[f64]) -> IidDistribution {
-        ClusteredKnnModel::predict(self, x)
-    }
-    fn predict_mode(&self, x: &[f64]) -> Vec<u8> {
-        ClusteredKnnModel::predict_mode(self, x)
-    }
-    fn payload(&self) -> Value {
-        self.to_value()
-    }
-    fn boxed_clone(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Trains a model of the given kind from per-pair features and fitted
-/// distributions — the one dispatch point every trainer goes through.
-pub fn try_train_kind(
-    kind: ModelKind,
-    features: Vec<Vec<f64>>,
-    dists: Vec<IidDistribution>,
-    opts: &ModelOptions,
-) -> Result<Box<dyn Model>, TrainError> {
-    Ok(match kind {
-        ModelKind::Knn => Box::new(KnnModel::try_train(features, dists, opts.k, opts.beta)?),
-        ModelKind::Linear => Box::new(LinearModel::try_train(features, dists, opts.ridge_lambda)?),
-        ModelKind::Clustered => Box::new(ClusteredKnnModel::try_train(
-            features,
-            dists,
-            opts.k,
-            opts.beta,
-            opts.k_clusters,
-        )?),
-    })
-}
-
-/// Decodes a model payload of the given kind — the inverse of
-/// [`Model::payload`], and the one dispatch point every snapshot loader
-/// goes through.
-pub fn decode_model(kind: ModelKind, v: &Value) -> Result<Box<dyn Model>, serde::Error> {
-    Ok(match kind {
-        ModelKind::Knn => Box::new(KnnModel::from_value(v)?),
-        ModelKind::Linear => Box::new(LinearModel::from_value(v)?),
-        ModelKind::Clustered => Box::new(ClusteredKnnModel::from_value(v)?),
-    })
 }
 
 #[cfg(test)]
@@ -332,19 +269,20 @@ mod tests {
             let pick = if i < 5 { vec![0, 0] } else { vec![1, 2] };
             dists.push(IidDistribution::fit(&dims, &vec![pick; 4]));
         }
-        let opts = ModelOptions {
-            k: 3,
-            k_clusters: 2,
-            ..ModelOptions::default()
-        };
         for kind in ModelKind::ALL {
-            let m = try_train_kind(kind, features.clone(), dists.clone(), &opts).unwrap();
+            let opts = TrainOptions {
+                model: kind,
+                k: 3,
+                k_clusters: 2,
+                ..TrainOptions::default()
+            };
+            let m = Model::train(features.clone(), dists.clone(), &opts).unwrap();
             assert_eq!(m.kind(), kind);
             assert_eq!(m.feature_dim(), 3);
             assert_eq!(m.dims(), dims);
             assert_eq!(m.len(), 10);
             assert!(!m.is_empty());
-            let back = decode_model(kind, &m.payload()).unwrap();
+            let back = Model::decode(kind, &m.payload()).unwrap();
             assert_eq!(back.kind(), kind);
             assert_eq!(back.payload(), m.payload(), "{kind}: payload round trip");
             let probe = vec![2.5, -2.5, 1.25];
@@ -354,18 +292,17 @@ mod tests {
     }
 
     #[test]
-    fn boxed_clone_preserves_behaviour() {
+    fn clone_preserves_behaviour() {
         let dims = vec![2usize];
         let features = vec![vec![0.0], vec![1.0]];
         let dists = vec![
             IidDistribution::fit(&dims, &[vec![0]]),
             IidDistribution::fit(&dims, &[vec![1]]),
         ];
-        let m: Box<dyn Model> =
-            try_train_kind(ModelKind::Knn, features, dists, &ModelOptions::default()).unwrap();
+        let m = Model::train(features, dists, &TrainOptions::default()).unwrap();
         let c = m.clone();
         assert_eq!(c.kind(), ModelKind::Knn);
         assert_eq!(c.predict_mode(&[0.1]), m.predict_mode(&[0.1]));
-        assert!(c.as_any().downcast_ref::<KnnModel>().is_some());
+        assert!(matches!(c, Model::Knn(_)));
     }
 }

@@ -1,12 +1,11 @@
-//! Cross-model conformance suite: every registered [`ModelKind`] must
-//! honour the [`Model`] trait contract the snapshot format and the
-//! prediction service program against. The harness iterates
-//! [`ModelKind::ALL`], so adding a model kind to the registry is one line
-//! here (none, in fact — the loop picks it up) plus the dispatch arms in
+//! Cross-model conformance suite: every [`ModelKind`] must honour the
+//! [`Model`] contract the snapshot format and the prediction service
+//! program against. The harness iterates [`ModelKind::ALL`], so a new
+//! model kind needs no line here — only its variants and `match` arms in
 //! `portopt_ml::model`.
 //!
 //! Contract pinned per kind:
-//! * **save/load bit-identity** — `payload()` → JSON → `decode_model`
+//! * **save/load bit-identity** — `payload()` → JSON → `Model::decode`
 //!   re-serialises byte-identically and predicts identically;
 //! * **honest `feature_dim`** — exactly the trained query length, and
 //!   queries of that length are answered over exactly `dims()`;
@@ -15,7 +14,7 @@
 //! * **mode-consistency** — `predict_mode(x) == predict(x).mode()`
 //!   bit-identically.
 
-use portopt_ml::{decode_model, try_train_kind, IidDistribution, Model, ModelKind, ModelOptions};
+use portopt_ml::{IidDistribution, Model, ModelKind, TrainOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,17 +47,18 @@ fn probes(seed: u64, dim: usize, n: usize) -> Vec<Vec<f64>> {
 
 /// Options small enough that every kind exercises its interesting path
 /// (k < n for kNN, several clusters for k-means).
-fn options() -> ModelOptions {
-    ModelOptions {
+fn options(model: ModelKind) -> TrainOptions {
+    TrainOptions {
+        model,
         k: 5,
         k_clusters: 3,
-        ..ModelOptions::default()
+        ..TrainOptions::default()
     }
 }
 
-fn train(kind: ModelKind, seed: u64, dim: usize, n: usize) -> Box<dyn Model> {
+fn train(kind: ModelKind, seed: u64, dim: usize, n: usize) -> Model {
     let (feats, dists) = training_set(seed, dim, n);
-    try_train_kind(kind, feats, dists, &options())
+    Model::train(feats, dists, &options(kind))
         .unwrap_or_else(|e| panic!("{kind}: training failed: {e}"))
 }
 
@@ -69,7 +69,7 @@ fn save_load_predict_bit_identity() {
         let payload = model.payload();
         let json = serde_json::to_string(&payload).unwrap();
         let parsed = serde_json::parse(&json).unwrap_or_else(|e| panic!("{kind}: {e}"));
-        let back = decode_model(kind, &parsed).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let back = Model::decode(kind, &parsed).unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(back.kind(), kind);
         assert_eq!(
             serde_json::to_string(&back.payload()).unwrap(),
@@ -139,7 +139,7 @@ fn predict_mode_matches_distribution_mode() {
 }
 
 #[test]
-fn boxed_clone_is_transparent() {
+fn clone_is_transparent() {
     for kind in ModelKind::ALL {
         let model = train(kind, 0xABBA, 3, 12);
         let clone = model.clone();

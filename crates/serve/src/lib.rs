@@ -332,6 +332,43 @@ mod tests {
     }
 
     #[test]
+    fn failed_o3_run_gets_an_error_reply() {
+        // `main` calls itself before returning: the module verifies, but
+        // the -O3 profiling run overflows the call-depth limit.
+        let mut mb = ModuleBuilder::new("runaway");
+        let main = mb.declare("main", 0);
+        let mut b = FuncBuilder::new("main", 0);
+        let r = b.call(main, &[]);
+        let r1 = b.add(r, 1);
+        b.ret(r1);
+        mb.define(main, b.finish());
+        mb.entry(main);
+        let req = ServeRequest {
+            id: Some(3),
+            input: RequestInput::Module(Box::new(mb.finish())),
+            uarch: MicroArch::xscale(),
+            apply: false,
+        };
+        let service = PredictionService::new(tiny_snapshot(), 1);
+        let mut out = Vec::new();
+        let mut stats = ServiceStats::default();
+        service
+            .run_lines(
+                Cursor::new(serde_json::to_string(&req).unwrap()),
+                &mut out,
+                1,
+                &mut stats,
+            )
+            .unwrap();
+        let reply: ServeResponse =
+            serde_json::from_str(String::from_utf8(out).unwrap().trim()).expect("one reply line");
+        assert_eq!(reply.id, 3);
+        let msg = reply.error.expect("error reply");
+        assert!(msg.starts_with("-O3 profiling run failed"), "{msg}");
+        assert_eq!(stats.errors, 1);
+    }
+
+    #[test]
     fn bad_requests_get_error_replies_not_disconnects() {
         let snap = tiny_snapshot();
         let n_features = snap.meta.feature_dim;

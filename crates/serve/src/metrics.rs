@@ -34,6 +34,7 @@
 //! ```
 
 use portopt_ml::ModelKind;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -344,44 +345,51 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Every scalar field in rendering order, formatted once for both
+    /// renderings, under the name both use (the JSON key; the plaintext
+    /// metric after its `portopt_` prefix).
+    fn scalars(&self) -> [(&'static str, String); 14] {
+        [
+            ("uptime_secs", format!("{:.3}", self.uptime_secs)),
+            ("queue_depth", self.queue_depth.to_string()),
+            ("inflight", self.inflight.to_string()),
+            ("requests_total", self.requests_total.to_string()),
+            ("errors_total", self.errors_total.to_string()),
+            ("refused_total", self.refused_total.to_string()),
+            ("discarded_total", self.discarded_total.to_string()),
+            ("batches_total", self.batches_total.to_string()),
+            ("max_batch", self.max_batch.to_string()),
+            ("latency_p50_ms", format!("{:.3}", self.latency_p50_ms)),
+            ("latency_p99_ms", format!("{:.3}", self.latency_p99_ms)),
+            ("latency_mean_ms", format!("{:.4}", self.latency_mean_ms)),
+            ("connections_total", self.connections_total.to_string()),
+            (
+                "rejected_connections_total",
+                self.rejected_connections_total.to_string(),
+            ),
+        ]
+    }
+
     /// The `{"cmd":"stats"}` admin reply: one JSON line. Field order is
     /// stable (documented in `docs/SERVING.md`); versions render as an
     /// object keyed by version number.
     pub fn to_json_line(&self) -> String {
-        let versions: String = self
-            .predictions_by_version
-            .iter()
-            .map(|(v, n)| format!("\"{v}\":{n}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let kinds: String = ModelKind::ALL
-            .iter()
-            .map(|k| format!("\"{}\":{}", k.as_str(), self.predictions_by_kind[k.index()]))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"cmd\":\"stats\",\"uptime_secs\":{:.3},\"queue_depth\":{},\"inflight\":{},\
-             \"requests_total\":{},\"errors_total\":{},\"refused_total\":{},\
-             \"discarded_total\":{},\"batches_total\":{},\"max_batch\":{},\
-             \"latency_p50_ms\":{:.3},\"latency_p99_ms\":{:.3},\"latency_mean_ms\":{:.4},\
-             \"connections_total\":{},\"rejected_connections_total\":{},\
-             \"predictions_by_version\":{{{versions}}},\
-             \"predictions_by_kind\":{{{kinds}}}}}",
-            self.uptime_secs,
-            self.queue_depth,
-            self.inflight,
-            self.requests_total,
-            self.errors_total,
-            self.refused_total,
-            self.discarded_total,
-            self.batches_total,
-            self.max_batch,
-            self.latency_p50_ms,
-            self.latency_p99_ms,
-            self.latency_mean_ms,
-            self.connections_total,
-            self.rejected_connections_total,
-        )
+        let mut s = String::from("{\"cmd\":\"stats\"");
+        for (name, v) in self.scalars() {
+            let _ = write!(s, ",\"{name}\":{v}");
+        }
+        s.push_str(",\"predictions_by_version\":{");
+        for (i, (v, n)) in self.predictions_by_version.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}\"{v}\":{n}");
+        }
+        s.push_str("},\"predictions_by_kind\":{");
+        for k in ModelKind::ALL {
+            let sep = if k.index() == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}\"{k}\":{}", self.predictions_by_kind[k.index()]);
+        }
+        s.push_str("}}");
+        s
     }
 
     /// The plaintext `--metrics-port` rendering: one `name value` pair
@@ -389,49 +397,18 @@ impl MetricsSnapshot {
     /// `_total`, per-version counts as labelled samples).
     pub fn to_text(&self) -> String {
         let mut s = String::with_capacity(512);
-        s.push_str(&format!("portopt_uptime_secs {:.3}\n", self.uptime_secs));
-        s.push_str(&format!("portopt_queue_depth {}\n", self.queue_depth));
-        s.push_str(&format!("portopt_inflight {}\n", self.inflight));
-        s.push_str(&format!("portopt_requests_total {}\n", self.requests_total));
-        s.push_str(&format!("portopt_errors_total {}\n", self.errors_total));
-        s.push_str(&format!("portopt_refused_total {}\n", self.refused_total));
-        s.push_str(&format!(
-            "portopt_discarded_total {}\n",
-            self.discarded_total
-        ));
-        s.push_str(&format!("portopt_batches_total {}\n", self.batches_total));
-        s.push_str(&format!("portopt_max_batch {}\n", self.max_batch));
-        s.push_str(&format!(
-            "portopt_latency_p50_ms {:.3}\n",
-            self.latency_p50_ms
-        ));
-        s.push_str(&format!(
-            "portopt_latency_p99_ms {:.3}\n",
-            self.latency_p99_ms
-        ));
-        s.push_str(&format!(
-            "portopt_latency_mean_ms {:.4}\n",
-            self.latency_mean_ms
-        ));
-        s.push_str(&format!(
-            "portopt_connections_total {}\n",
-            self.connections_total
-        ));
-        s.push_str(&format!(
-            "portopt_rejected_connections_total {}\n",
-            self.rejected_connections_total
-        ));
+        for (name, v) in self.scalars() {
+            let _ = writeln!(s, "portopt_{name} {v}");
+        }
         for (v, n) in &self.predictions_by_version {
-            s.push_str(&format!(
-                "portopt_predictions_total{{snapshot_version=\"{v}\"}} {n}\n"
-            ));
+            let _ = writeln!(
+                s,
+                "portopt_predictions_total{{snapshot_version=\"{v}\"}} {n}"
+            );
         }
         for k in ModelKind::ALL {
-            s.push_str(&format!(
-                "portopt_predictions_kind_total{{kind=\"{}\"}} {}\n",
-                k.as_str(),
-                self.predictions_by_kind[k.index()]
-            ));
+            let n = self.predictions_by_kind[k.index()];
+            let _ = writeln!(s, "portopt_predictions_kind_total{{kind=\"{k}\"}} {n}");
         }
         s
     }
@@ -627,6 +604,66 @@ mod tests {
             text.contains("portopt_predictions_kind_total{kind=\"knn\"} 0\n"),
             "every kind renders, including zeroes: {text}"
         );
+    }
+
+    #[test]
+    fn renderings_are_byte_stable() {
+        let mut s = MetricsSnapshot {
+            uptime_secs: 12.3456,
+            queue_depth: 3,
+            inflight: 4,
+            requests_total: 100,
+            errors_total: 2,
+            refused_total: 5,
+            discarded_total: 1,
+            batches_total: 9,
+            max_batch: 32,
+            latency_p50_ms: 0.25,
+            latency_p99_ms: 25.0,
+            latency_mean_ms: 1.23456,
+            connections_total: 7,
+            rejected_connections_total: 1,
+            predictions_by_version: vec![(1, 40), (2, 58)],
+            predictions_by_kind: [50, 30, 18],
+        };
+        assert_eq!(
+            s.to_json_line(),
+            "{\"cmd\":\"stats\",\"uptime_secs\":12.346,\"queue_depth\":3,\"inflight\":4,\
+             \"requests_total\":100,\"errors_total\":2,\"refused_total\":5,\
+             \"discarded_total\":1,\"batches_total\":9,\"max_batch\":32,\
+             \"latency_p50_ms\":0.250,\"latency_p99_ms\":25.000,\"latency_mean_ms\":1.2346,\
+             \"connections_total\":7,\"rejected_connections_total\":1,\
+             \"predictions_by_version\":{\"1\":40,\"2\":58},\
+             \"predictions_by_kind\":{\"knn\":50,\"linear\":30,\"clustered\":18}}"
+        );
+        assert_eq!(
+            s.to_text(),
+            "portopt_uptime_secs 12.346\n\
+             portopt_queue_depth 3\n\
+             portopt_inflight 4\n\
+             portopt_requests_total 100\n\
+             portopt_errors_total 2\n\
+             portopt_refused_total 5\n\
+             portopt_discarded_total 1\n\
+             portopt_batches_total 9\n\
+             portopt_max_batch 32\n\
+             portopt_latency_p50_ms 0.250\n\
+             portopt_latency_p99_ms 25.000\n\
+             portopt_latency_mean_ms 1.2346\n\
+             portopt_connections_total 7\n\
+             portopt_rejected_connections_total 1\n\
+             portopt_predictions_total{snapshot_version=\"1\"} 40\n\
+             portopt_predictions_total{snapshot_version=\"2\"} 58\n\
+             portopt_predictions_kind_total{kind=\"knn\"} 50\n\
+             portopt_predictions_kind_total{kind=\"linear\"} 30\n\
+             portopt_predictions_kind_total{kind=\"clustered\"} 18\n"
+        );
+        // No versions yet: an empty object, and no labelled samples.
+        s.predictions_by_version.clear();
+        assert!(s
+            .to_json_line()
+            .contains(",\"predictions_by_version\":{},\"predictions_by_kind\":{"));
+        assert!(!s.to_text().contains("snapshot_version"));
     }
 
     #[test]

@@ -88,7 +88,7 @@ use crate::reload::{ReloadHandle, SnapshotCell, VersionedSnapshot};
 use crate::snapshot::Snapshot;
 use portopt_core::PROFILE_LIMITS;
 use portopt_exec::{Executor, ServiceQueue, SubmitError};
-use portopt_ir::{verify_module, Module};
+use portopt_ir::Module;
 use portopt_passes::{compile, OptConfig};
 use portopt_sim::{evaluate, profile};
 use portopt_uarch::MicroArch;
@@ -662,16 +662,10 @@ impl PredictionService {
                 Ok((cfg, choices, None))
             }
             RequestInput::Module(module) => {
-                // Compilation and the simulators index registers, blocks,
-                // callees and memory by the client's numbers unchecked.
-                verify_module(module).map_err(|e| format!("module failed verification: {e}"))?;
-                let img3 = compile(module, &OptConfig::o3());
-                let prof3 = profile(&img3, module, &[], PROFILE_LIMITS)
-                    .map_err(|e| format!("-O3 profiling run failed: {e:?}"))?;
-                let t3 = evaluate(&img3, &prof3, &req.uarch);
-                let cfg = snapshot
+                let (cfg, t3) = snapshot
                     .compiler
-                    .predict_from_counters(&t3.counters, &req.uarch);
+                    .predict_module(module, &req.uarch)
+                    .map_err(|e| e.to_string())?;
                 let stats = if req.apply {
                     let img = compile(module, &cfg);
                     let prof = profile(&img, module, &[], PROFILE_LIMITS)

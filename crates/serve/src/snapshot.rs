@@ -272,21 +272,10 @@ impl Snapshot {
     /// [`train`](Self::train) with malformed datasets reported as a typed
     /// error instead of a panic — what the `snapshot` bin calls so an
     /// empty dataset is an exit-code diagnostic, not a crash. Trains the
-    /// paper's kNN model; [`try_train_kind`](Self::try_train_kind) picks
-    /// another kind from the zoo.
+    /// kind `opts.model` names and records it in the header, so loaders
+    /// can refuse a mismatched artifact before decoding the payload.
     pub fn try_train(ds: &Dataset, opts: &TrainOptions) -> Result<Self, portopt_ml::TrainError> {
-        Self::try_train_kind(ds, ModelKind::Knn, opts)
-    }
-
-    /// [`try_train`](Self::try_train) for any model kind in the zoo; the
-    /// kind is recorded in the header so loaders can refuse a mismatched
-    /// artifact before decoding the payload.
-    pub fn try_train_kind(
-        ds: &Dataset,
-        kind: ModelKind,
-        opts: &TrainOptions,
-    ) -> Result<Self, portopt_ml::TrainError> {
-        let compiler = PortableCompiler::try_train_kind(ds, None, None, kind, opts)?;
+        let compiler = PortableCompiler::try_train(ds, None, None, opts)?;
         Ok(Snapshot {
             meta: SnapshotMeta {
                 magic: SNAPSHOT_FORMAT.magic.to_string(),
@@ -298,7 +287,7 @@ impl Snapshot {
                 settings: ds.configs.len(),
                 k: opts.k,
                 beta: opts.beta,
-                model_kind: kind,
+                model_kind: opts.model,
             },
             compiler,
         })

@@ -19,7 +19,14 @@ const GOLDEN: &str = concat!(
 
 fn linear_snapshot() -> Snapshot {
     let (ds, _) = fixture();
-    Snapshot::try_train_kind(&ds, ModelKind::Linear, &TrainOptions::default()).unwrap()
+    Snapshot::try_train(
+        &ds,
+        &TrainOptions {
+            model: ModelKind::Linear,
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap()
 }
 
 #[test]

@@ -468,8 +468,14 @@ fn closed_queue_refuses_with_shutting_down_error() {
 #[test]
 fn reload_across_model_kinds_never_splits_a_batch() {
     let (ds, knn_snap) = fixture();
-    let linear_snap =
-        Snapshot::try_train_kind(&ds, ModelKind::Linear, &TrainOptions::default()).unwrap();
+    let linear_snap = Snapshot::try_train(
+        &ds,
+        &TrainOptions {
+            model: ModelKind::Linear,
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap();
     let service = PredictionService::new(knn_snap, 1);
     let v1 = service.current_snapshot().version;
 

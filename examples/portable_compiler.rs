@@ -47,7 +47,9 @@ fn main() {
     assert!(!ds.uarchs.contains(&target), "target must be unseen");
 
     // Deploy: one O3 profiling run -> counters -> predicted passes.
-    let (img, cfg, t_o3) = pc.optimise(&test.module, &target);
+    let (img, cfg, t_o3) = pc
+        .optimise(&test.module, &target)
+        .unwrap_or_else(|e| panic!("cannot deploy `{}`: {e}", test.name));
     let prof = profile(&img, &test.module, &[], Default::default()).unwrap();
     let t_pred = evaluate(&img, &prof, &target);
 

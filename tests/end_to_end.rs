@@ -146,7 +146,7 @@ fn deployment_flow_unseen_program_and_uarch() {
     let mut target = MicroArch::xscale();
     target.il1_size = 16384;
     target.btb_entries = 256;
-    let (img, _cfg, t3) = pc.optimise(&unseen.module, &target);
+    let (img, _cfg, t3) = pc.optimise(&unseen.module, &target).unwrap();
     let prof = profile(&img, &unseen.module, &[], Default::default()).unwrap();
     let reference = run_module(&unseen.module, &[]).unwrap();
     assert_eq!(prof.ret, reference.ret, "predicted binary must be correct");
