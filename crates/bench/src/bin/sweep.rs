@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! # rig 0 and rig 1 each sweep half the programs, sharing nothing but
-//! # the seed; --profile-cache makes re-runs reuse profiling on disk
+//! # the seed; --profile-cache makes both rigs share one profile cache
 //! cargo run --release -p portopt-bench --bin sweep -- \
 //!     --scale smoke --shard-index 0 --shard-count 2 \
 //!     --profile-cache target/pcache --out rig0.json
@@ -23,11 +23,13 @@
 //! shards in index order is byte-identical to the unsharded sweep — CI
 //! asserts exactly that.
 //!
-//! **Crash safety**: every completed `(program, setting)` pair is
-//! checkpointed to `<out>.journal` as it finishes, and a rerun with the
-//! same flags resumes from the journal instead of re-pricing (disable
-//! with `--no-checkpoint`; see `docs/SWEEP.md`). The journal is retired
-//! once the shard file is (atomically) published.
+//! **Crash safety**: every sweep persists each profiling run to a profile
+//! cache as it completes — `--profile-cache DIR`, else `<out>.pcache/`
+//! next to the shard file (`target/portopt-worker.pcache/` in worker
+//! mode). A rerun of the same command recompiles every setting but
+//! profiles only what the cache lacks, and its output is byte-identical
+//! to an uninterrupted sweep (see `docs/SWEEP.md`). The cache stays after
+//! the shard file is published, so a repeated command runs warm.
 //!
 //! **Fleet mode**: `--worker HOST:PORT` takes shard leases from a
 //! `coordinator` bin instead of sweeping a fixed `--shard-index`, so a
@@ -39,20 +41,18 @@
 //! this run wrote or read (offline alternative: the `cache` bin).
 
 use portopt_bench::{coordinator, BinArgs};
-use portopt_core::{
-    generate_with_checkpoint, open_profile_cache, open_sweep_journal, CheckpointJournal, Dataset,
-    GenOptions, ShardSpec, SweepReport,
-};
+use portopt_core::{generate_with_cache, open_profile_cache, Dataset, ShardSpec, SweepReport};
 use portopt_exec::DiskCache;
 use portopt_experiments::suite_modules;
 use portopt_ir::Module;
 
-fn open_cache(args: &BinArgs) -> Option<DiskCache> {
-    args.profile_cache.as_ref().map(|dir| {
-        open_profile_cache(dir).unwrap_or_else(|e| {
-            portopt_trace::error!("bench.sweep", "cannot open profile cache {dir}: {e}");
-            std::process::exit(2);
-        })
+/// Opens this run's profile cache before any work, exiting 2 if it
+/// cannot: a sweep that could not resume must not start.
+fn open_cache(args: &BinArgs) -> DiskCache {
+    let dir = args.profile_cache_dir();
+    open_profile_cache(&dir).unwrap_or_else(|e| {
+        portopt_trace::error!("bench.sweep", "cannot open profile cache {dir}: {e}");
+        std::process::exit(2);
     })
 }
 
@@ -91,44 +91,13 @@ fn gc_cache(cache: &DiskCache, max_bytes: u64) {
     }
 }
 
-/// Opens the checkpoint journal for one shard sweep (unless disabled) and
-/// reports what it resumed — the log line the CI crash-resume job greps.
-fn open_journal(
-    path: &str,
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-    disabled: bool,
-) -> Option<CheckpointJournal> {
-    if disabled {
-        return None;
-    }
-    let journal = open_sweep_journal(path, programs, opts).unwrap_or_else(|e| {
-        portopt_trace::error!("bench.sweep", "cannot open checkpoint journal {path}: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "checkpoint journal: resumed {} completed pairs, {} baselines{} ({path})",
-        journal.resumed_pairs(),
-        journal.resumed_baselines(),
-        if journal.healed_bytes() > 0 {
-            format!(", healed {} torn bytes", journal.healed_bytes())
-        } else {
-            String::new()
-        },
-    );
-    Some(journal)
-}
-
-/// Sweeps one shard with checkpointing and returns the dataset, retiring
-/// the journal only after `publish` has safely landed the result.
+/// Sweeps one shard against the profile cache.
 fn sweep_shard(
     args: &BinArgs,
     spec: &ShardSpec,
     pairs: &[(String, Module)],
-    cache: Option<&DiskCache>,
-    journal_path: &str,
-    publish: impl FnOnce(&Dataset, &SweepReport),
-) -> Dataset {
+    cache: &DiskCache,
+) -> (Dataset, SweepReport) {
     let mine = spec.slice(pairs);
     let sp = portopt_trace::span(
         "bench.sweep",
@@ -139,26 +108,16 @@ fn sweep_shard(
             ("programs", (mine.len() as u64).into()),
         ],
     );
-    let opts = args.gen_options();
-    let journal = open_journal(journal_path, mine, &opts, args.no_checkpoint);
-    let (ds, report) = generate_with_checkpoint(mine, &opts, cache, journal.as_ref());
+    let (ds, report) = generate_with_cache(mine, &args.gen_options(), Some(cache));
     sp.close_with(&[("wall_secs", report.wall_secs.into())]);
-    publish(&ds, &report);
-    if let Some(j) = journal {
-        if let Err(e) = j.retire() {
-            portopt_trace::warn!(
-                "bench.sweep",
-                "could not retire checkpoint journal {journal_path}: {e}"
-            );
-        }
-    }
-    ds
+    (ds, report)
 }
 
 /// Fleet mode: drain shard leases from the coordinator until the plan is
-/// finished. Each lease is swept with its own checkpoint journal, so even
-/// a worker killed mid-lease resumes its own partial work when restarted.
+/// finished. Every lease shares one profile cache, so a worker killed
+/// mid-lease and restarted profiles only what its last run did not.
 fn run_as_worker(args: &BinArgs, addr: &str) -> ! {
+    let cache = open_cache(args);
     let (pairs, _) = suite_modules(2009);
     let name = format!(
         "worker-{}-{}",
@@ -166,41 +125,21 @@ fn run_as_worker(args: &BinArgs, addr: &str) -> ! {
         std::env::var("HOSTNAME").unwrap_or_else(|_| "rig".into())
     );
     println!("sweep worker {name}: taking leases from {addr}");
-    let cache = open_cache(args);
     let outcome = coordinator::run_worker(addr, &name, |index, count| {
         let spec = ShardSpec::new(index, count).map_err(|e| e.to_string())?;
-        let journal_path = format!(
-            "target/portopt-worker-{}{}-{index}of{count}.journal",
-            args.scale_name,
-            if args.extended { "-ext" } else { "" },
-        );
-        if let Err(e) = BinArgs::ensure_writable(&journal_path) {
-            // Refuse rather than die: the coordinator re-leases the shard
-            // to a rig whose disk works.
-            return Err(e);
-        }
         println!("worker {name}: sweeping shard {index}/{count}");
-        Ok(sweep_shard(
-            args,
-            &spec,
-            &pairs,
-            cache.as_ref(),
-            &journal_path,
-            |_, report| {
-                portopt_trace::info!(
-                    "bench.sweep",
-                    { wall_secs = report.wall_secs },
-                    "worker {name}: shard {index}/{count} done in {:.2}s",
-                    report.wall_secs
-                );
-            },
-        ))
+        let (ds, report) = sweep_shard(args, &spec, &pairs, &cache);
+        portopt_trace::info!(
+            "bench.sweep",
+            { wall_secs = report.wall_secs },
+            "worker {name}: shard {index}/{count} done in {:.2}s",
+            report.wall_secs
+        );
+        Ok(ds)
     });
-    if let Some(c) = &cache {
-        print_cache_stats(c);
-        if let Some(max) = args.cache_max_bytes {
-            gc_cache(c, max);
-        }
+    print_cache_stats(&cache);
+    if let Some(max) = args.cache_max_bytes {
+        gc_cache(&cache, max);
     }
     match outcome {
         Ok(o) => {
@@ -229,13 +168,14 @@ fn main() {
         portopt_trace::error!("bench.sweep", "bad shard spec: {e}");
         std::process::exit(2);
     });
-    // Fail fast: a bad --out must cost seconds, not a full sweep. The
-    // journal lands next to the shard file, so one probe covers both.
+    // Fail fast: a bad --out or cache directory must cost seconds, not a
+    // full sweep.
     let out = args.shard_path();
     if let Err(e) = BinArgs::ensure_writable(&out) {
         portopt_trace::error!("bench.sweep", "refusing to sweep: {e}");
         std::process::exit(2);
     }
+    let cache = open_cache(&args);
 
     let (pairs, _) = suite_modules(2009);
     let range = spec.range(pairs.len());
@@ -251,26 +191,12 @@ fn main() {
         args.scale_name,
     );
 
-    let cache = open_cache(&args);
-    let journal_path = format!("{out}.journal");
-    sweep_shard(
-        &args,
-        &spec,
-        &pairs,
-        cache.as_ref(),
-        &journal_path,
-        |ds, report| {
-            args.write_report(report);
-            if let Some(c) = &cache {
-                print_cache_stats(c);
-            }
-            BinArgs::write_dataset(&out, ds);
-        },
-    );
-    if let Some(c) = &cache {
-        if let Some(max) = args.cache_max_bytes {
-            gc_cache(c, max);
-        }
+    let (ds, report) = sweep_shard(&args, &spec, &pairs, &cache);
+    args.write_report(&report);
+    print_cache_stats(&cache);
+    BinArgs::write_dataset(&out, &ds);
+    if let Some(max) = args.cache_max_bytes {
+        gc_cache(&cache, max);
     }
     BinArgs::finish_trace();
 }

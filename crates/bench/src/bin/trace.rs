@@ -10,7 +10,7 @@
 //! cargo run --release -p portopt-bench --bin trace -- target/sweep.trace --top 10
 //! ```
 //!
-//! The file is validated like the checkpoint journal: header first, then
+//! The file is validated header first (the shared artifact envelope), then
 //! every complete record, with a torn final line (producer killed
 //! mid-append) reported rather than fatal. Span opens and closes are
 //! cross-checked ([`portopt_bench::read::check_spans`]); a file that

@@ -61,12 +61,12 @@ pub struct BinArgs {
     pub shard_index: usize,
     /// `sweep` bin: total number of shards the program grid is split into.
     pub shard_count: usize,
-    /// `sweep` bin: directory of the on-disk profile cache, if any.
+    /// `sweep` bin: directory of the on-disk profile cache
+    /// (`--profile-cache`); `None` means the default from
+    /// [`BinArgs::profile_cache_dir`].
     pub profile_cache: Option<String>,
     /// `snapshot` bin: also write the (merged) training dataset here.
     pub dataset_out: Option<String>,
-    /// `sweep` bin: disable the resumable checkpoint journal.
-    pub no_checkpoint: bool,
     /// `sweep` bin: take leases from the coordinator at this `host:port`
     /// instead of sweeping `--shard-index`.
     pub worker: Option<String>,
@@ -102,9 +102,9 @@ impl BinArgs {
     /// (what `snapshot` trains), `--expect-model KIND` (what `serve`
     /// demands of its artifact) and `--snapshot-b PATH` (the `ab` bin's
     /// second model), the `sweep` flags `--shard-index N`,
-    /// `--shard-count N`, `--profile-cache DIR`, `--no-checkpoint`,
-    /// `--worker HOST:PORT`, `--cache-max-bytes N`, the `coordinator`
-    /// flags `--retry-budget N`, `--lease-timeout-ms N`, and the
+    /// `--shard-count N`, `--profile-cache DIR`, `--worker HOST:PORT`,
+    /// `--cache-max-bytes N`, the `coordinator` flags `--retry-budget N`,
+    /// `--lease-timeout-ms N`, and the
     /// observability flags `--log-level off|error|warn|info|debug|trace`
     /// (default `info`, or the `PORTOPT_LOG` environment variable) and
     /// `--trace-out PATH` (write a JSON-lines trace file; published
@@ -135,7 +135,6 @@ impl BinArgs {
         let mut shard_count = 1usize;
         let mut profile_cache = None;
         let mut dataset_out = None;
-        let mut no_checkpoint = false;
         let mut worker = None;
         let mut retry_budget = coordinator::DEFAULT_RETRY_BUDGET;
         let mut lease_timeout_ms = coordinator::DEFAULT_LEASE_TIMEOUT_MS;
@@ -344,7 +343,6 @@ impl BinArgs {
                     None => portopt_trace::warn!("bench", "--snapshot-b expects a file path"),
                 },
                 "--watch-snapshot" => watch_snapshot = true,
-                "--no-checkpoint" => no_checkpoint = true,
                 "--worker" => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
                     Some(a) => {
                         worker = Some(a.clone());
@@ -438,7 +436,6 @@ impl BinArgs {
             shard_count,
             profile_cache,
             dataset_out,
-            no_checkpoint,
             worker,
             retry_budget,
             lease_timeout_ms,
@@ -577,6 +574,19 @@ impl BinArgs {
                 self.shard_count,
             )
         })
+    }
+
+    /// The `sweep` bin's profile cache directory: `--profile-cache` if
+    /// given, else one `target/portopt-worker.pcache` shared by every lease
+    /// in worker mode, else `<shard path>.pcache` next to the shard file.
+    /// A rerun of the same command reads the same directory, which is how
+    /// a killed sweep resumes.
+    pub fn profile_cache_dir(&self) -> String {
+        match (&self.profile_cache, &self.worker) {
+            (Some(dir), _) => dir.clone(),
+            (None, Some(_)) => "target/portopt-worker.pcache".to_string(),
+            (None, None) => format!("{}.pcache", self.shard_path()),
+        }
     }
 
     /// Default model-artifact path for this scale (the `snapshot` bin's
@@ -738,6 +748,14 @@ mod tests {
         assert_eq!(name(&suite, &threads), base);
         let reseeded = GenOptions { seed: 7, ..opts };
         assert_ne!(name(&suite, &reseeded), base);
+        let rescaled = GenOptions {
+            scale: SweepScale {
+                n_uarch: 3,
+                ..SweepScale::smoke()
+            },
+            ..opts
+        };
+        assert_ne!(name(&suite, &rescaled), base);
         let extended = GenOptions {
             extended_space: true,
             ..opts

@@ -3,11 +3,10 @@
 //! are built on. Lines parse with the workspace's `serde_json`, and the
 //! header goes through the shared `portopt_exec::artifact` envelope check.
 //!
-//! Mirrors the checkpoint journal's tolerance contract: the header is
-//! validated before anything else is believed, complete records are
-//! decoded strictly, and a torn final line (process killed mid-append)
-//! is reported via [`TraceFile::torn_tail`] rather than failing the
-//! whole file.
+//! The tolerance contract: the header is validated before anything else
+//! is believed, complete records are decoded strictly, and a torn final
+//! line (process killed mid-append) is reported via
+//! [`TraceFile::torn_tail`] rather than failing the whole file.
 
 use portopt_exec::artifact::{ArtifactError, Format};
 use portopt_trace::{TRACE_FORMAT_VERSION, TRACE_MAGIC};
@@ -102,11 +101,11 @@ fn req<T: Deserialize>(v: &Value, key: &str, line_no: usize) -> Result<T, Artifa
 }
 
 /// Parses and validates a whole trace file: header first (wrong magic or
-/// a future format version are hard errors, as in the checkpoint
-/// journal), then every complete line as a record. A final line without
-/// its newline is tolerated and flagged as [`TraceFile::torn_tail`]; a
-/// *complete* line that does not decode is a hard error — unlike the
-/// journal there is no replay to salvage, the file is evidence.
+/// a future format version are hard errors, as for every artifact),
+/// then every complete line as a record. A final line without its
+/// newline is tolerated and flagged as [`TraceFile::torn_tail`]; a
+/// *complete* line that does not decode is a hard error — there is
+/// nothing to salvage, the file is evidence.
 pub fn read_trace(text: &str) -> Result<TraceFile, ArtifactError> {
     let mut lines = text.split_inclusive('\n');
     let header_line = lines

@@ -1,10 +1,9 @@
 //! Every versioned artifact's reader, handed another artifact's bytes,
 //! refuses it by the envelope: the found magic is named, it is never
 //! called corrupt, and nothing panics. A header one format version ahead
-//! is refused as a version mismatch by all four readers.
+//! is refused as a version mismatch by all three readers.
 
 use portopt_bench::read::{read_trace, TRACE_FORMAT};
-use portopt_core::checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT};
 use portopt_exec::artifact::{ArtifactError, Format};
 use portopt_exec::cache::{CacheError, DiskCache, CACHE_FORMAT};
 use portopt_serve::snapshot::SNAPSHOT_FORMAT;
@@ -12,7 +11,6 @@ use portopt_serve::{Snapshot, SnapshotError};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-const PLAN: u64 = 0x5eed;
 const KEY: u64 = 0xfeed;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -26,18 +24,13 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// One real instance of each artifact, written by its own writer (the
 /// snapshot is the serve crate's golden kNN file).
-fn artifacts() -> &'static [(Format, Vec<u8>); 4] {
-    static ALL: OnceLock<[(Format, Vec<u8>); 4]> = OnceLock::new();
+fn artifacts() -> &'static [(Format, Vec<u8>); 3] {
+    static ALL: OnceLock<[(Format, Vec<u8>); 3]> = OnceLock::new();
     ALL.get_or_init(|| {
         let dir = scratch("writers");
         let cache = DiskCache::open(&dir, "test-payload", 1).unwrap();
         cache.put(KEY, &vec![1u64, 2, 3]).unwrap();
         let entry = std::fs::read(dir.join(format!("{KEY:016x}.json"))).unwrap();
-
-        let journal_path = dir.join("sweep.journal");
-        drop(CheckpointJournal::open(&journal_path, PLAN).unwrap());
-        let mut journal = std::fs::read(&journal_path).unwrap();
-        journal.extend_from_slice(b"{\"Pair\":{\"p\":0,\"t\":0,\"row\":[1.0]}}\n");
 
         let trace_path = dir.join("out.trace");
         portopt_trace::init(portopt_trace::Level::Off, Some(&trace_path)).unwrap();
@@ -49,7 +42,6 @@ fn artifacts() -> &'static [(Format, Vec<u8>); 4] {
         [
             (SNAPSHOT_FORMAT, snapshot),
             (CACHE_FORMAT, entry),
-            (JOURNAL_FORMAT, journal),
             (TRACE_FORMAT, trace),
         ]
     })
@@ -59,8 +51,7 @@ fn artifacts() -> &'static [(Format, Vec<u8>); 4] {
 /// it accepted them. Any other refusal panics.
 fn read_with(format: Format, bytes: &[u8], tag: &str) -> Option<ArtifactError> {
     let dir = scratch(tag);
-    let path = dir.join(format!("{KEY:016x}.json"));
-    std::fs::write(&path, bytes).unwrap();
+    std::fs::write(dir.join(format!("{KEY:016x}.json")), bytes).unwrap();
     let err = if format == SNAPSHOT_FORMAT {
         match Snapshot::from_bytes(bytes) {
             Err(SnapshotError::Artifact(e)) => Some(e),
@@ -72,17 +63,6 @@ fn read_with(format: Format, bytes: &[u8], tag: &str) -> Option<ArtifactError> {
             .get::<Vec<u64>>(KEY)
         {
             Err(CacheError::Artifact(e)) => Some(e),
-            other => other.map(|_| None).unwrap(),
-        }
-    } else if format == JOURNAL_FORMAT {
-        let opened = CheckpointJournal::open(&path, PLAN);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            bytes,
-            "{tag}: file untouched"
-        );
-        match opened {
-            Err(JournalError::Artifact(e)) => Some(e),
             other => other.map(|_| None).unwrap(),
         }
     } else {

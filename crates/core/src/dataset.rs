@@ -9,7 +9,6 @@
 //! sweep into `programs × settings` profiler runs plus 7 million
 //! microsecond-scale model evaluations.
 
-use crate::checkpoint::{CheckpointJournal, JournalError};
 use portopt_exec::cache::{CacheError, DiskCache};
 use portopt_exec::Executor;
 use portopt_ir::interp::ExecLimits;
@@ -633,7 +632,6 @@ fn sweep_grid(
     configs: Vec<OptConfig>,
     threads: usize,
     disk: Option<&DiskCache>,
-    journal: Option<&CheckpointJournal>,
 ) -> (Dataset, SweepReport) {
     let start = std::time::Instant::now();
     let exec = Executor::new(threads);
@@ -649,33 +647,17 @@ fn sweep_grid(
         ],
     );
 
-    // `-O3` baselines, parallel over programs. A journalled baseline is
-    // replayed instead of recomputed; a fresh one is journalled as soon as
-    // it completes.
+    // `-O3` baselines, parallel over programs.
     let baselines = exec.map_indexed(np, |p| {
-        let sp = portopt_trace::span(
+        let _sp = portopt_trace::span(
             "core.dataset",
             "baseline",
             &[("program", programs[p].0.as_str().into()), ("p", p.into())],
         );
-        if let Some(j) = journal {
-            if let Some(b) = j.replayed_baseline(p) {
-                sp.close_with(&[("source", "journal".into())]);
-                return b;
-            }
-        }
-        let b = o3_baseline(&programs[p].1, &uarchs, disk);
-        if let Some(j) = journal {
-            j.record_baseline(p, &b.0, &b.1);
-        }
-        sp.close_with(&[("source", "computed".into())]);
-        b
+        o3_baseline(&programs[p].1, &uarchs, disk)
     });
 
     // The flattened (program, unique-setting) grid in one executor pass.
-    // Checkpointed pairs skip even the compile; every completed pair is
-    // journalled — including in-memory fingerprint-cache hits, so a resume
-    // never depends on which duplicate finished first.
     let (uniques, to_unique) = dedup_configs(&configs);
     let nu = uniques.len();
     let caches: Vec<ProfileCache> = (0..np).map(|_| Mutex::new(HashMap::new())).collect();
@@ -683,8 +665,8 @@ fn sweep_grid(
         let (p, t) = (i / nu, i % nu);
         // The per-(program, setting) pricing span: the unit the `trace`
         // bin's top-N-slowest-pairs report ranks. `source` attributes the
-        // row: journal replay, in-memory fingerprint share, or a real
-        // compile+profile+price run.
+        // row: in-memory fingerprint share, or a real compile+profile+price
+        // run.
         let sp = portopt_trace::span(
             "core.dataset",
             "price_pair",
@@ -694,12 +676,6 @@ fn sweep_grid(
                 ("t", t.into()),
             ],
         );
-        if let Some(j) = journal {
-            if let Some(row) = j.replayed_pair(p, t) {
-                sp.close_with(&[("source", "journal".into())]);
-                return row;
-            }
-        }
         let (row, shared) = eval_setting(
             &programs[p].1,
             &uarchs,
@@ -707,9 +683,6 @@ fn sweep_grid(
             &caches[p],
             disk,
         );
-        if let Some(j) = journal {
-            j.record_pair(p, t, &row);
-        }
         sp.close_with(&[(
             "source",
             if shared { "fp_share" } else { "computed" }.into(),
@@ -777,34 +750,21 @@ pub fn generate_with_report(
 /// re-run after a crash or a scale change that shares settings — reuse
 /// profiling runs *across process invocations*, not just within one.
 ///
-/// The cache never changes the result: a sweep with a warm, cold, or
-/// partially-corrupted cache produces a byte-identical dataset to one
-/// with no cache at all (rejected entries are logged, recomputed and
-/// overwritten). `cargo test -p portopt-core` asserts this.
+/// This is also how a killed sweep resumes: each entry is written as its
+/// profile completes, so a rerun recompiles every setting but profiles
+/// only the images whose entries are missing.
+///
+/// The cache never changes the result: a sweep with a warm, cold,
+/// partial or partially-corrupted cache produces a byte-identical dataset
+/// to one with no cache at all (rejected entries are logged, recomputed
+/// and overwritten). `cargo test -p portopt-core` asserts this.
 pub fn generate_with_cache(
     programs: &[(String, Module)],
     opts: &GenOptions,
     disk: Option<&DiskCache>,
 ) -> (Dataset, SweepReport) {
-    generate_with_checkpoint(programs, opts, disk, None)
-}
-
-/// [`generate_with_cache`] with an optional checkpoint journal (opened via
-/// [`open_sweep_journal`]): every completed `(program, setting)` pair and
-/// `-O3` baseline is appended to the journal as it finishes, and results
-/// already in the journal are **replayed instead of re-priced** — a sweep
-/// killed mid-shard and restarted with identical flags resumes where it
-/// died. Like the profile cache, the journal never changes the result: a
-/// resumed sweep's dataset is byte-identical to an uninterrupted run
-/// (asserted by `cargo test -p portopt-core` and the CI crash-resume job).
-pub fn generate_with_checkpoint(
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-    disk: Option<&DiskCache>,
-    journal: Option<&CheckpointJournal>,
-) -> (Dataset, SweepReport) {
     let (uarchs, configs) = sample_axes(opts);
-    sweep_grid(programs, uarchs, configs, opts.threads, disk, journal)
+    sweep_grid(programs, uarchs, configs, opts.threads, disk)
 }
 
 /// Samples both sweep axes for the given options — the single sampling
@@ -823,10 +783,9 @@ fn sample_axes(opts: &GenOptions) -> (Vec<MicroArch>, Vec<OptConfig>) {
 
 /// Structural fingerprint of one sweep plan: the program list (names and
 /// full module structure), both sampled axes, and the profiling limits —
-/// everything a journalled row is a function of. Two invocations share a
-/// fingerprint exactly when a checkpoint journal written by one can be
-/// replayed by the other; [`open_sweep_journal`] refuses any other journal
-/// with [`JournalError::PlanMismatch`].
+/// everything a dataset row is a function of. Two invocations share a
+/// fingerprint exactly when they produce the same dataset, so the figure
+/// bins name their dataset caches by it.
 pub fn plan_fingerprint(programs: &[(String, Module)], opts: &GenOptions) -> u64 {
     use std::hash::{Hash as _, Hasher as _};
     let mut h = portopt_ir::StableHasher::new();
@@ -849,18 +808,6 @@ pub fn plan_fingerprint(programs: &[(String, Module)], opts: &GenOptions) -> u64
     h.finish()
 }
 
-/// Opens (creating if needed) the checkpoint journal at `path` for a sweep
-/// of `programs` under `opts`, fingerprinting the plan so a journal from a
-/// different sweep — other programs, seed, scale, space or limits — is
-/// refused with a typed [`JournalError`] instead of replayed.
-pub fn open_sweep_journal(
-    path: impl AsRef<std::path::Path>,
-    programs: &[(String, Module)],
-    opts: &GenOptions,
-) -> Result<CheckpointJournal, JournalError> {
-    CheckpointJournal::open(path, plan_fingerprint(programs, opts))
-}
-
 /// Generates a dataset priced on the given (named) microarchitectures
 /// instead of sampling `opts.scale.n_uarch` from the design space. The
 /// setting sample is identical to [`generate`]'s for the same seed, so
@@ -872,7 +819,7 @@ pub fn generate_with_uarchs(
     opts: &GenOptions,
 ) -> (Dataset, SweepReport) {
     let configs = sample_configs(opts.scale.n_opts, opts.seed);
-    sweep_grid(programs, uarchs.to_vec(), configs, opts.threads, None, None)
+    sweep_grid(programs, uarchs.to_vec(), configs, opts.threads, None)
 }
 
 #[cfg(test)]
@@ -1365,10 +1312,64 @@ mod tests {
     }
 
     #[test]
+    fn partial_cache_resumes_only_the_missing_work() {
+        let dir = cache_scratch_dir("partial");
+        let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
+        let opts = GenOptions {
+            scale: SweepScale {
+                n_uarch: 2,
+                n_opts: 8,
+            },
+            seed: 45,
+            extended_space: false,
+            threads: 2,
+        };
+        let baseline = generate(&programs, &opts);
+        let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
+        let cold = open_profile_cache(&dir).unwrap();
+        generate_with_cache(&programs, &opts, Some(&cold));
+        assert_eq!(cold.stats().hits, 0, "{:?}", cold.stats());
+
+        // Simulate a kill partway through: every other entry never landed.
+        let mut entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        assert!(entries.len() > 2, "expected several cache entries");
+        let deleted = entries.iter().step_by(2).count();
+        for path in entries.iter().step_by(2) {
+            std::fs::remove_file(path).unwrap();
+        }
+
+        let resumed = open_profile_cache(&dir).unwrap();
+        let (warm, _) = generate_with_cache(&programs, &opts, Some(&resumed));
+        let s = resumed.stats();
+        assert_eq!(s.misses as usize, deleted, "{s:?}");
+        assert_eq!(s.hits as usize, entries.len() - deleted, "{s:?}");
+        assert_eq!(s.rejected, 0, "{s:?}");
+        assert_eq!(bytes(&warm), bytes(&baseline));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Cache entry files of `dir`, sorted by name.
+    fn cache_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut entries: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        entries.sort();
+        entries
+    }
+
+    #[test]
     fn checkpointed_sweep_resumes_byte_identically() {
-        let dir = cache_scratch_dir("journal-resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.journal");
+        // The profile cache is the sweep's checkpoint. A sweep killed early
+        // (only a third of its entries landed) and resumed with another
+        // thread count still matches the uninterrupted sweep, and once the
+        // resume has finished the store is complete.
+        let dir = cache_scratch_dir("resume");
         let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
         let opts = GenOptions {
             scale: SweepScale {
@@ -1377,40 +1378,46 @@ mod tests {
             },
             seed: 44,
             extended_space: false,
-            threads: 2,
+            threads: 1,
         };
         let baseline = generate(&programs, &opts);
         let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
+        let cold = open_profile_cache(&dir).unwrap();
+        let (first, _) = generate_with_cache(&programs, &opts, Some(&cold));
+        assert_eq!(bytes(&first), bytes(&baseline));
+        let entries = cache_entries(&dir);
+        assert_eq!(entries.len() as u64, cold.stats().misses);
+        let lookups = cold.stats().hits + cold.stats().misses;
+        let kept = entries.len() / 3;
+        assert!(kept > 0, "expected several cache entries");
+        for path in &entries[kept..] {
+            std::fs::remove_file(path).unwrap();
+        }
 
-        // First attempt journals every pair and baseline as it completes.
-        let first = open_sweep_journal(&path, &programs, &opts).unwrap();
-        assert_eq!(first.resumed_pairs(), 0);
-        let (cold, report) = generate_with_checkpoint(&programs, &opts, None, Some(&first));
-        assert_eq!(bytes(&cold), bytes(&baseline));
-        assert_eq!(
-            first.recorded(),
-            (report.grid_tasks + report.programs) as u64,
-            "every pair and baseline journalled"
-        );
-        drop(first);
-
-        // A "restart" with identical flags replays everything: zero pairs
-        // re-priced (recorded() stays 0), output still byte-identical.
-        let resumed = open_sweep_journal(&path, &programs, &opts).unwrap();
-        assert_eq!(resumed.resumed_pairs(), report.grid_tasks);
-        assert_eq!(resumed.resumed_baselines(), report.programs);
-        let (warm, _) = generate_with_checkpoint(&programs, &opts, None, Some(&resumed));
-        assert_eq!(resumed.recorded(), 0, "full replay re-prices nothing");
+        let resumed = open_profile_cache(&dir).unwrap();
+        let threads = GenOptions { threads: 4, ..opts };
+        let (warm, _) = generate_with_cache(&programs, &threads, Some(&resumed));
+        let s = resumed.stats();
+        assert_eq!(s.misses as usize, entries.len() - kept, "{s:?}");
+        assert_eq!(s.hits + s.misses, lookups, "{s:?}");
         assert_eq!(bytes(&warm), bytes(&baseline));
-        resumed.retire().unwrap();
+
+        // A second restart re-profiles nothing.
+        let whole = open_profile_cache(&dir).unwrap();
+        let (again, _) = generate_with_cache(&programs, &opts, Some(&whole));
+        assert_eq!(whole.stats().misses, 0, "{:?}", whole.stats());
+        assert_eq!(whole.stats().hits, lookups);
+        assert_eq!(bytes(&again), bytes(&baseline));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn partial_journal_resumes_only_the_missing_work() {
-        let dir = cache_scratch_dir("journal-partial");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.journal");
+        // A writer killed between write and rename leaves a `*.tmp`
+        // dropping instead of an entry. The resume treats each dropping as
+        // missing work: it re-profiles exactly those images, rejects
+        // nothing, and matches the uninterrupted sweep.
+        let dir = cache_scratch_dir("droppings");
         let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
         let opts = GenOptions {
             scale: SweepScale {
@@ -1423,44 +1430,39 @@ mod tests {
         };
         let baseline = generate(&programs, &opts);
         let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
-        let first = open_sweep_journal(&path, &programs, &opts).unwrap();
-        let (_, report) = generate_with_checkpoint(&programs, &opts, None, Some(&first));
-        drop(first);
+        let cold = open_profile_cache(&dir).unwrap();
+        generate_with_cache(&programs, &opts, Some(&cold));
+        let lookups = cold.stats().hits + cold.stats().misses;
+        let entries = cache_entries(&dir);
+        let torn = entries.len() / 2;
+        assert!(torn > 0, "expected several cache entries");
+        for (i, path) in entries[..torn].iter().enumerate() {
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            std::fs::rename(
+                path,
+                dir.join(format!(".{stem}.{}.{i}.tmp", std::process::id())),
+            )
+            .unwrap();
+        }
 
-        // Simulate a crash partway through: keep the header + first half
-        // of the records (complete lines), drop the rest.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let keep = 1 + (lines.len() - 1) / 2;
-        let mut truncated = lines[..keep].join("\n");
-        truncated.push('\n');
-        std::fs::write(&path, truncated).unwrap();
-
-        let resumed = open_sweep_journal(&path, &programs, &opts).unwrap();
-        let replayed = resumed.resumed_pairs() + resumed.resumed_baselines();
-        assert_eq!(replayed, keep - 1);
-        assert!(resumed.resumed_pairs() < report.grid_tasks);
-        let (warm, _) = generate_with_checkpoint(&programs, &opts, None, Some(&resumed));
-        let total = (report.grid_tasks + report.programs) as u64;
-        assert_eq!(
-            resumed.recorded(),
-            total - replayed as u64,
-            "exactly the missing records re-priced and journalled"
-        );
+        let resumed = open_profile_cache(&dir).unwrap();
+        let (warm, _) = generate_with_cache(&programs, &opts, Some(&resumed));
+        let s = resumed.stats();
+        assert_eq!(s.misses as usize, torn, "{s:?}");
+        assert_eq!(s.hits + s.misses, lookups, "{s:?}");
+        assert_eq!(s.rejected, 0, "{s:?}");
         assert_eq!(bytes(&warm), bytes(&baseline));
-
-        // The journal is whole again: a third run replays everything.
-        drop(resumed);
-        let whole = open_sweep_journal(&path, &programs, &opts).unwrap();
-        assert_eq!(whole.resumed_pairs(), report.grid_tasks);
+        assert_eq!(cache_entries(&dir), entries, "every entry published again");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn journal_of_a_different_plan_is_refused() {
-        let dir = cache_scratch_dir("journal-plan");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.journal");
+        // A store written by one sweep plan never lends rows to another:
+        // a changed seed, scale or program list gets a different plan
+        // fingerprint, and sweeping it over the old store still matches a
+        // storeless sweep. The thread count is not part of the plan.
+        let dir = cache_scratch_dir("plan");
         let programs = vec![tiny_program("p1", 1)];
         let opts = GenOptions {
             scale: SweepScale {
@@ -1471,33 +1473,31 @@ mod tests {
             extended_space: false,
             threads: 1,
         };
-        drop(open_sweep_journal(&path, &programs, &opts).unwrap());
-        // Any plan-changing knob — a different seed, scale, or program
-        // list — must be refused with the typed mismatch.
-        for bad in [
-            GenOptions { seed: 47, ..opts },
-            GenOptions {
-                scale: SweepScale {
-                    n_uarch: 3,
-                    n_opts: 6,
-                },
-                ..opts
-            },
-        ] {
-            assert!(matches!(
-                open_sweep_journal(&path, &programs, &bad),
-                Err(JournalError::PlanMismatch { .. })
-            ));
-        }
+        let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
+        generate_with_cache(&programs, &opts, Some(&open_profile_cache(&dir).unwrap()));
+        let fp = plan_fingerprint(&programs, &opts);
         let other_programs = vec![tiny_program("p2", 7)];
-        assert!(matches!(
-            open_sweep_journal(&path, &other_programs, &opts),
-            Err(JournalError::PlanMismatch { .. })
-        ));
-        // Thread count and an attached profile cache are *not* part of the
-        // plan: they cannot change the rows.
+        let other_seed = GenOptions { seed: 47, ..opts };
+        let other_scale = GenOptions {
+            scale: SweepScale {
+                n_uarch: 3,
+                n_opts: 6,
+            },
+            ..opts
+        };
+        for (progs, plan) in [
+            (&programs, other_seed),
+            (&programs, other_scale),
+            (&other_programs, opts),
+        ] {
+            assert_ne!(plan_fingerprint(progs, &plan), fp);
+            let store = open_profile_cache(&dir).unwrap();
+            let (ds, _) = generate_with_cache(progs, &plan, Some(&store));
+            assert_eq!(store.stats().rejected, 0, "{:?}", store.stats());
+            assert_eq!(bytes(&ds), bytes(&generate(progs, &plan)));
+        }
         let threads = GenOptions { threads: 8, ..opts };
-        assert!(open_sweep_journal(&path, &programs, &threads).is_ok());
+        assert_eq!(plan_fingerprint(&programs, &threads), fp);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,11 +9,9 @@
 //! * [`dataset`] — training-data generation (§3.2): the
 //!   programs × settings × microarchitectures sweep, optionally backed by
 //!   an on-disk profile cache (`portopt_exec::cache`) so repeated sweeps
-//!   reuse profiling runs across process invocations.
-//! * [`checkpoint`] — resumable in-shard checkpoints: a versioned
-//!   append-only journal of completed `(program, setting)` results, so a
-//!   sweep killed mid-shard resumes without re-pricing finished work and
-//!   still produces a byte-identical dataset.
+//!   reuse profiling runs across process invocations, and a sweep killed
+//!   mid-shard resumes by profiling only what is missing, still producing
+//!   a byte-identical dataset.
 //! * [`shard`] — deterministic multi-rig sweep planning: contiguous
 //!   program slices whose per-rig datasets recombine, byte-identically,
 //!   with [`Dataset::merge`].
@@ -28,18 +26,15 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod compiler;
 pub mod dataset;
 pub mod shard;
 
-pub use checkpoint::{CheckpointJournal, JournalError, JOURNAL_FORMAT};
 pub use compiler::{OptimiseError, PortableCompiler, GOOD_FRACTION};
 pub use dataset::{
-    generate, generate_with_cache, generate_with_checkpoint, generate_with_report,
-    generate_with_uarchs, open_profile_cache, open_sweep_journal, plan_fingerprint, sweep_program,
-    CachedProfile, Dataset, GenOptions, MergeError, SweepReport, SweepScale, PROFILE_CACHE_KIND,
-    PROFILE_CACHE_PAYLOAD_VERSION, PROFILE_LIMITS,
+    generate, generate_with_cache, generate_with_report, generate_with_uarchs, open_profile_cache,
+    plan_fingerprint, sweep_program, CachedProfile, Dataset, GenOptions, MergeError, SweepReport,
+    SweepScale, PROFILE_CACHE_KIND, PROFILE_CACHE_PAYLOAD_VERSION, PROFILE_LIMITS,
 };
 pub use portopt_ml::{Model, ModelKind, TrainOptions};
 pub use shard::{ShardError, ShardSpec};

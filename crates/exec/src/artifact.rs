@@ -1,8 +1,8 @@
 //! The one envelope every versioned on-disk artifact goes through: the
-//! model snapshot, the profile-cache entry, the checkpoint journal and the
-//! trace file. Each opens with a JSON header carrying `magic` and
-//! `format_version`, at the top level of its first line (journal, trace)
-//! or under `meta` (snapshot, cache entry). A [`Format`] names one
+//! model snapshot, the profile-cache entry and the trace file. Each opens
+//! with a JSON header carrying `magic` and `format_version`, at the top
+//! level of its first line (trace) or under `meta` (snapshot, cache
+//! entry). A [`Format`] names one
 //! artifact; [`Format::check`] is the one magic/version comparison,
 //! [`ArtifactError`] the one envelope error, and [`write_atomic`] the one
 //! temp-plus-`rename` publisher.
@@ -121,7 +121,7 @@ impl Format {
 
     /// Parses a one-document artifact and checks its header. Bytes that
     /// are not one JSON document but whose first line is another
-    /// artifact's header (a journal or trace file) are refused by that
+    /// artifact's header (a trace file) are refused by that
     /// header, not as corrupt.
     pub fn parse(&self, bytes: &[u8]) -> Result<Value, ArtifactError> {
         let text = std::str::from_utf8(bytes).map_err(|e| self.corrupt(e))?;
@@ -160,8 +160,7 @@ impl Format {
 /// named `.<name>.<pid>.<seq>.tmp` sibling and renamed over `path`, so a
 /// reader sees the old file or the new one, never a torn one, and a killed
 /// writer leaves at most a `*.tmp` dropping (which `DiskCache::gc` sweeps).
-/// Nothing is fsynced: like the journal's appends, this survives a process
-/// crash, not a power cut.
+/// Nothing is fsynced: this survives a process crash, not a power cut.
 pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();

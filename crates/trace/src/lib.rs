@@ -38,12 +38,12 @@
 //! The **file sink** (`--trace-out PATH`) is an append-only JSON-lines
 //! trace file that records *everything regardless of level* — a trace
 //! file exists to answer "where did the time go", so it is never
-//! level-thinned. Like the checkpoint journal it opens with a versioned
-//! header line, and like every other published artifact in this
-//! workspace it is written to a `PATH.tmp.<pid>` sibling and atomically
-//! renamed into place by [`finish`]. A process that dies before
-//! [`finish`] leaves only the tmp file — a trace is either complete or
-//! visibly absent, never torn under its final name.
+//! level-thinned. It opens with a versioned header line, and like every
+//! other published artifact in this workspace it is written to a
+//! `PATH.tmp.<pid>` sibling and atomically renamed into place by
+//! [`finish`]. A process that dies before [`finish`] leaves only the tmp
+//! file — a trace is either complete or visibly absent, never torn under
+//! its final name.
 //!
 //! When neither sink wants a record (level filtered out, no file sink)
 //! an event costs two relaxed atomic loads and a span costs one
@@ -675,8 +675,7 @@ fn push_field_value(out: &mut String, v: &FieldValue) {
             let _ = write!(out, "{n}");
         }
         FieldValue::F64(n) => {
-            // JSON has no Infinity/NaN; null round-trips like the
-            // checkpoint journal's cycle rows.
+            // JSON has no Infinity/NaN: write null.
             if n.is_finite() {
                 let _ = write!(out, "{n}");
             } else {
