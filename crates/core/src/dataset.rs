@@ -522,8 +522,8 @@ fn price_image_with(
 /// — both caches only short-circuit recomputation, which is what keeps
 /// the sweep deterministic under any scheduling. The returned flag says
 /// whether the row came from the in-memory fingerprint cache (this call
-/// did not price it: another setting lowered to an identical binary) —
-/// pricing-span attribution.
+/// did not price it: another setting, or the `-O3` baseline, lowered to
+/// an identical binary) — pricing-span attribution.
 fn eval_setting(
     module: &Module,
     uarchs: &[MicroArch],
@@ -546,14 +546,14 @@ fn eval_setting(
     (row.clone(), shared)
 }
 
-/// `-O3` baseline for one program: cycles + counter features per
-/// configuration. The `-O3` profiling run goes through the same on-disk
-/// cache as the setting sweep.
+/// `-O3` baseline for one program: the `-O3` image's fingerprint, and
+/// cycles + counter features per configuration. The `-O3` profiling run
+/// goes through the same on-disk cache as the setting sweep.
 fn o3_baseline(
     module: &Module,
     uarchs: &[MicroArch],
     disk: Option<&DiskCache>,
-) -> (Vec<f64>, Vec<FeatureVec>) {
+) -> (u64, Vec<f64>, Vec<FeatureVec>) {
     let img3 = compile(module, &OptConfig::o3());
     let prof3 = profile_for(&img3, module, disk)
         .expect("O3 binary must run (checked by the mibench tests)");
@@ -565,7 +565,16 @@ fn o3_baseline(
         o3_cycles.push(t.cycles);
         features.push(FeatureVec::new(&t.counters, u));
     }
-    (o3_cycles, features)
+    (img3.fingerprint(), o3_cycles, features)
+}
+
+/// A program's in-memory profile cache, seeded with its `-O3` row under
+/// the `-O3` image's fingerprint: the row [`eval_setting`] would price for
+/// a setting that lowers to the same binary, so that setting is neither
+/// profiled nor priced again.
+fn seeded_cache(o3_fingerprint: u64, o3_cycles: &[f64]) -> ProfileCache {
+    let row = Arc::new(OnceLock::from(Arc::new(o3_cycles.to_vec())));
+    Mutex::new(HashMap::from([(o3_fingerprint, row)]))
 }
 
 /// Deduplicates sampled settings: returns `(unique-task → config index,
@@ -598,9 +607,9 @@ pub fn sweep_program(
     configs: &[OptConfig],
     exec: &Executor,
 ) -> ProgramSweep {
-    let (o3_cycles, features) = o3_baseline(module, uarchs, None);
+    let (o3_fp, o3_cycles, features) = o3_baseline(module, uarchs, None);
     let (uniques, to_unique) = dedup_configs(configs);
-    let cache: ProfileCache = Mutex::new(HashMap::new());
+    let cache = seeded_cache(o3_fp, &o3_cycles);
     let rows = exec.map_indexed(uniques.len(), |t| {
         eval_setting(module, uarchs, &configs[uniques[t]], &cache, None).0
     });
@@ -660,7 +669,10 @@ fn sweep_grid(
     // The flattened (program, unique-setting) grid in one executor pass.
     let (uniques, to_unique) = dedup_configs(&configs);
     let nu = uniques.len();
-    let caches: Vec<ProfileCache> = (0..np).map(|_| Mutex::new(HashMap::new())).collect();
+    let caches: Vec<ProfileCache> = baselines
+        .iter()
+        .map(|(fp, o3, _)| seeded_cache(*fp, o3))
+        .collect();
     let rows = exec.map_indexed(np * nu, |i| {
         let (p, t) = (i / nu, i % nu);
         // The per-(program, setting) pricing span: the unit the `trace`
@@ -698,7 +710,7 @@ fn sweep_grid(
         o3_cycles: Vec::new(),
         features: Vec::new(),
     };
-    for (p, (o3, feats)) in baselines.into_iter().enumerate() {
+    for (p, (_, o3, feats)) in baselines.into_iter().enumerate() {
         let mut cycles: Vec<Vec<f64>> = vec![vec![0.0; ds.configs.len()]; ds.uarchs.len()];
         for (c, &t) in to_unique.iter().enumerate() {
             for (u, cy) in rows[p * nu + t].iter().enumerate() {
@@ -1171,6 +1183,51 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 1, "{stats:?}");
         assert!(rows.iter().all(|(row, _)| row == &rows[0].0));
         assert_eq!(rows.iter().filter(|(_, shared)| !shared).count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn o3_setting_in_the_grid_reuses_the_baseline_profile() {
+        // A grid setting that lowers to the `-O3` image takes the row the
+        // baseline already priced: a cold cache sees one lookup, a miss,
+        // per distinct image, and no second lookup of the `-O3` one.
+        let dir = cache_scratch_dir("o3-seed");
+        let programs = vec![tiny_program("p1", 1), tiny_program("p2", 7)];
+        let uarchs = MicroArchSpace::base().sample_n(3, &mut StdRng::seed_from_u64(3));
+        let mut configs = sample_configs(6, 21);
+        configs.insert(2, OptConfig::o3());
+        let disk = open_profile_cache(&dir).unwrap();
+        let (ds, _) = sweep_grid(&programs, uarchs.clone(), configs.clone(), 2, Some(&disk));
+        let distinct: usize = programs
+            .iter()
+            .map(|(_, m)| {
+                let mut fps: Vec<u64> = configs
+                    .iter()
+                    .map(|c| compile(m, c).fingerprint())
+                    .collect();
+                fps.sort_unstable();
+                fps.dedup();
+                fps.len()
+            })
+            .sum();
+        let s = disk.stats();
+        assert_eq!(s.hits, 0, "{s:?}");
+        assert_eq!(s.misses as usize, distinct, "{s:?}");
+        assert_eq!(cache_entries(&dir).len(), distinct);
+
+        // Every cell is the price of its setting's image on its own, and
+        // the dataset is the one a sweep without a disk cache makes.
+        for (p, (_, m)) in programs.iter().enumerate() {
+            for (c, cfg) in configs.iter().enumerate() {
+                let row = price_image(&compile(m, cfg), m, &uarchs);
+                for (u, cycles) in row.iter().enumerate() {
+                    assert_eq!(ds.cycles[p][u][c].to_bits(), cycles.to_bits());
+                }
+            }
+        }
+        let (no_disk, _) = sweep_grid(&programs, uarchs, configs, 2, None);
+        let bytes = |ds: &Dataset| serde_json::to_vec(ds).unwrap();
+        assert_eq!(bytes(&ds), bytes(&no_disk));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,6 +7,7 @@
 
 use crate::function::Module;
 use crate::inst::Inst;
+use crate::paged::PagedTable;
 use crate::types::{FuncId, Operand};
 use std::fmt;
 
@@ -74,21 +75,25 @@ impl Default for ExecLimits {
     }
 }
 
-/// Flat program memory: globals at [`Module::DATA_BASE`], stack growing down
-/// from [`Module::STACK_BASE`].
+/// Program memory: globals at [`Module::DATA_BASE`], stack growing down
+/// from [`Module::STACK_BASE`]. The word space `[0, STACK_BASE)` is a
+/// [`PagedTable`]: a page is allocated on the first store into it, and an
+/// untouched word reads 0, so a run pays only for what it touches.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    words: Vec<i64>,
+    words: PagedTable<i64>,
 }
 
 impl Memory {
-    /// Allocates memory and copies in every global's initialiser.
+    /// Creates memory holding every global's initialiser.
     pub fn for_module(m: &Module) -> Self {
-        let mut words = vec![0i64; (Module::STACK_BASE / 4) as usize];
+        let mut words = PagedTable::new((Module::STACK_BASE / 4) as usize);
         let addrs = m.global_addrs();
         for (g, a) in m.globals.iter().zip(&addrs) {
             let base = (a.base / 4) as usize;
-            words[base..base + g.init.len()].copy_from_slice(&g.init);
+            for (i, &v) in g.init.iter().enumerate() {
+                words.set(base + i, v);
+            }
         }
         Memory { words }
     }
@@ -111,7 +116,7 @@ impl Memory {
         if addr < 0 || idx as usize >= self.words.len() {
             return None;
         }
-        Some(self.words[idx as usize])
+        Some(self.words.get(idx as usize))
     }
 
     /// Writes the word at byte address `addr`.
@@ -121,7 +126,7 @@ impl Memory {
         if addr < 0 || idx as usize >= self.words.len() {
             return Err(ExecError::BadAddress { addr });
         }
-        self.words[idx as usize] = val;
+        self.words.set(idx as usize, val);
         Ok(())
     }
 
@@ -130,19 +135,14 @@ impl Memory {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for a in m.global_addrs() {
             let base = (a.base / 4) as usize;
-            for w in &self.words[base..base + (a.bytes / 4) as usize] {
-                for b in w.to_le_bytes() {
+            for i in base..base + (a.bytes / 4) as usize {
+                for b in self.words.get(i).to_le_bytes() {
                     h ^= b as u64;
                     h = h.wrapping_mul(0x1_0000_01b3);
                 }
             }
         }
         h
-    }
-
-    /// Direct word access for test setup (index = byte address / 4).
-    pub fn word_mut(&mut self, byte_addr: u32) -> &mut i64 {
-        &mut self.words[(byte_addr / 4) as usize]
     }
 }
 
@@ -336,6 +336,31 @@ mod tests {
         assert_eq!(r1.ret, 49);
         let r2 = run_module(&m, &[]).unwrap();
         assert_eq!(r1.mem_hash, r2.mem_hash, "determinism");
+    }
+
+    #[test]
+    fn memory_allocates_only_the_pages_a_run_writes() {
+        let mut mb = ModuleBuilder::new("pages");
+        mb.global_init("init", 4, vec![0, 7]);
+        mb.global("zero", 1 << 16);
+        let m = mb.finish();
+        let mut mem = Memory::for_module(&m);
+        assert_eq!(
+            mem.words.pages_touched(),
+            1,
+            "only a non-zero word allocates"
+        );
+        let top = Module::STACK_BASE as i64 - 4;
+        assert_eq!(mem.load(top), Ok(0));
+        mem.store(top, 0).unwrap();
+        assert_eq!(
+            mem.words.pages_touched(),
+            1,
+            "a zero store allocates nothing"
+        );
+        mem.store(top, 5).unwrap();
+        assert_eq!(mem.words.pages_touched(), 2);
+        assert_eq!(mem.load(top), Ok(5));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub fn profile(
 ) -> Result<ExecProfile, ExecError> {
     let mut p = Profiler::new(img);
     let (ret, mem) = walk::run(img, module, args, limits, &mut p)?;
-    let mut prof = p.prof;
+    let mut prof = p.finish();
     for (mf, counts) in img.funcs.iter().zip(&prof.block_counts) {
         for (block, &n) in mf.func.blocks.iter().zip(counts) {
             if n > 0 {
@@ -71,10 +71,31 @@ fn count_body_op(ops: &mut OpCounts, inst: &Inst, n: u64) {
     }
 }
 
+/// Tracked data accesses buffered before they are fed to the trackers,
+/// one block size at a time.
+const DATA_BATCH: usize = 4096;
+
+// The data-stream shortcut needs each block size to divide the next.
+const _: () = {
+    let mut k = 1;
+    while k < BLOCK_SIZES.len() {
+        assert!(BLOCK_SIZES[k].is_multiple_of(BLOCK_SIZES[k - 1]));
+        k += 1;
+    }
+};
+
 struct Profiler {
     prof: ExecProfile,
     /// Stack-distance trackers for the data stream, per block size.
     dsd: Vec<FlatStackDistance>,
+    /// The smallest-size line of the latest tracked data access
+    /// (`u32::MAX` before the first).
+    last_line: u32,
+    /// Data accesses to `last_line` right after it was tracked: dropped,
+    /// and counted at distance 0 at every block size when the run ends.
+    repeats: u64,
+    /// Tracked data addresses not yet fed to `dsd`.
+    pending: Vec<u32>,
     /// Stack-distance trackers for the instruction stream, per block size:
     /// line indices below `group_base`, then one weighted group per block.
     isd: Vec<FlatStackDistance<true>>,
@@ -116,6 +137,9 @@ impl Profiler {
                 .iter()
                 .map(|&bs| FlatStackDistance::new((Module::STACK_BASE / bs) as usize + 1))
                 .collect(),
+            last_line: u32::MAX,
+            repeats: 0,
+            pending: Vec::with_capacity(DATA_BATCH),
             isd: BLOCK_SIZES
                 .iter()
                 .map(|&bs| FlatStackDistance::weighted(code_end / bs as usize + 2 + total_blocks))
@@ -130,13 +154,47 @@ impl Profiler {
         }
     }
 
+    /// One load or store of modelled memory (`0 <= addr < STACK_BASE`).
+    ///
+    /// An access to the same smallest-size line as the latest tracked one
+    /// is a re-touch of the most recent line in every tracker: the sizes
+    /// nest, so that line holds it at every size. It is distance 0 at
+    /// every size and leaves every LRU stack as it was, so it is only
+    /// counted. The other accesses go to the trackers in batches.
     #[inline]
     fn data_access(&mut self, addr: i64) {
         self.prof.dcache_word_accesses += 1;
-        for (k, &bs) in BLOCK_SIZES.iter().enumerate() {
-            let d = self.dsd[k].access((addr as u64 / bs as u64) as usize);
-            self.prof.dcache_reuse[k].record(d);
+        let addr = addr as u32;
+        let line = addr / BLOCK_SIZES[0];
+        if line == self.last_line {
+            self.repeats += 1;
+            return;
         }
+        self.last_line = line;
+        self.pending.push(addr);
+        if self.pending.len() == DATA_BATCH {
+            self.flush_data();
+        }
+    }
+
+    /// Feeds the pending data accesses to the trackers, one size at a time.
+    fn flush_data(&mut self) {
+        for (k, &bs) in BLOCK_SIZES.iter().enumerate() {
+            let (sd, hist) = (&mut self.dsd[k], &mut self.prof.dcache_reuse[k]);
+            for &addr in &self.pending {
+                hist.record(sd.access((addr / bs) as usize));
+            }
+        }
+        self.pending.clear();
+    }
+
+    /// The profile of the finished run, with the data stream flushed.
+    fn finish(mut self) -> ExecProfile {
+        self.flush_data();
+        for hist in &mut self.prof.dcache_reuse {
+            hist.record_n(Some(0), self.repeats);
+        }
+        self.prof
     }
 
     /// Fetches the bytes `start..end` of the block with global index
@@ -505,6 +563,129 @@ mod tests {
         assert!(single_line > 0, "no single-line block");
         assert!(ends_on_boundary > 0, "no block ending on a line boundary");
         assert!(empty > 0, "no empty block entered");
+    }
+
+    /// Feeds every data access to four unit trackers, one per block size,
+    /// as it happens: the data stream by its definition, with no repeat
+    /// filter and no batching. It also tallies wild loads and accesses to
+    /// the same smallest-size line as the access before, so a test can
+    /// check that it covered them.
+    struct PerAccessData {
+        sd: Vec<FlatStackDistance>,
+        hist: Vec<ReuseHistogram>,
+        word_accesses: u64,
+        /// The previous access's smallest-size line.
+        prev_line: Option<i64>,
+        wild: usize,
+        same_line: usize,
+    }
+
+    impl PerAccessData {
+        fn new() -> Self {
+            PerAccessData {
+                sd: BLOCK_SIZES
+                    .iter()
+                    .map(|&bs| FlatStackDistance::new((Module::STACK_BASE / bs) as usize + 1))
+                    .collect(),
+                hist: BLOCK_SIZES.iter().map(|_| ReuseHistogram::new()).collect(),
+                word_accesses: 0,
+                prev_line: None,
+                wild: 0,
+                same_line: 0,
+            }
+        }
+
+        fn access(&mut self, addr: i64) {
+            let line = addr / i64::from(BLOCK_SIZES[0]);
+            self.same_line += usize::from(self.prev_line == Some(line));
+            self.prev_line = Some(line);
+            for (k, &bs) in BLOCK_SIZES.iter().enumerate() {
+                let d = self.sd[k].access((addr / i64::from(bs)) as usize);
+                self.hist[k].record(d);
+            }
+        }
+    }
+
+    impl Observer for PerAccessData {
+        fn load(&mut self, addr: Option<i64>, _dst: VReg) {
+            self.word_accesses += 1;
+            match addr {
+                Some(a) => self.access(a),
+                None => self.wild += 1,
+            }
+        }
+
+        fn store(&mut self, addr: i64) {
+            self.word_accesses += 1;
+            self.access(addr);
+        }
+    }
+
+    /// Walks a buffer two words at a time, loading both words of each
+    /// 8-byte line and storing back into the first, with a wild load (far
+    /// past the stack) between the loads and the store: repeats of one
+    /// line interleaved with accesses that touch no line.
+    fn wild_repeats() -> Module {
+        let mut mb = ModuleBuilder::new("wild_repeats");
+        let (_, base) = mb.global("buf", 64);
+        let mut b = FuncBuilder::new("main", 0);
+        let p = b.iconst(base as i64);
+        let acc = b.iconst(0);
+        b.counted_loop(0, 3, 1, |b, _r| {
+            b.counted_loop(0, 32, 1, |b, i| {
+                let off = b.shl(i, 3);
+                let a = b.add(p, off);
+                let x = b.load(a, 0);
+                let far = b.add(a, 1 << 40);
+                let wild = b.load(far, 0);
+                let y = b.load(a, 4);
+                let s = b.add(x, y);
+                let t = b.add(s, wild);
+                b.store(t, a, 0);
+                let u = b.add(acc, t);
+                b.assign(acc, u);
+            });
+        });
+        b.ret(acc);
+        let id = mb.add(b.finish());
+        mb.entry(id);
+        mb.finish()
+    }
+
+    #[test]
+    fn filtered_data_stream_matches_a_per_access_stream() {
+        let (mut wild, mut same_line) = (0, 0);
+        for m in [branchy(), op_mix(), walker(16, 2), wild_repeats()] {
+            for (level, cfg) in [("-O0", OptConfig::o0()), ("-O3", OptConfig::o3())] {
+                let img = compile(&m, &cfg);
+                let mut per_access = PerAccessData::new();
+                walk::run(&img, &m, &[], ExecLimits::default(), &mut per_access).unwrap();
+                let p = profile(&img, &m, &[], ExecLimits::default()).unwrap();
+                assert_eq!(p.dcache_reuse, per_access.hist, "{} {level}", m.name);
+                assert_eq!(p.dcache_word_accesses, per_access.word_accesses);
+                wild += per_access.wild;
+                same_line += per_access.same_line;
+            }
+        }
+        assert!(wild > 0, "no wild load");
+        assert!(same_line > 0, "no repeat of the previous line");
+    }
+
+    #[test]
+    fn data_batches_flush_whole_and_in_part() {
+        // More tracked accesses than one batch holds: the run flushes full
+        // batches and then a partial one at the end.
+        let m = walker(DATA_BATCH as u32, 3);
+        let img = compile(&m, &OptConfig::o0());
+        let mut per_access = PerAccessData::new();
+        walk::run(&img, &m, &[], ExecLimits::default(), &mut per_access).unwrap();
+        let p = profile(&img, &m, &[], ExecLimits::default()).unwrap();
+        let tracked = per_access.word_accesses as usize - per_access.wild - per_access.same_line;
+        assert!(
+            tracked > DATA_BATCH && !tracked.is_multiple_of(DATA_BATCH),
+            "{tracked}"
+        );
+        assert_eq!(p.dcache_reuse, per_access.hist);
     }
 
     #[test]
